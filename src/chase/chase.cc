@@ -71,7 +71,7 @@ struct SlotResult {
 
 }  // namespace
 
-StatusOr<ChaseResult> ChaseEngine::Run(const FactBase& facts) const {
+StatusOr<ChaseResult> ChaseEngine::Run(FactBase facts) const {
   trace::ScopedSpan span("chase.saturate", trace::Phase::kChase);
   KBREPAIR_FAILPOINT("chase.saturate",
                      Status::Internal("injected chase saturation fault"));
@@ -79,8 +79,8 @@ StatusOr<ChaseResult> ChaseEngine::Run(const FactBase& facts) const {
     KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("chase"));
   }
   ChaseResult result;
-  result.facts_ = facts;
   result.num_original_ = facts.size();
+  result.facts_ = std::move(facts);
   result.arena_ = std::make_shared<Arena>();
 
   // Index rules and constraints by body-atom predicate for anchored

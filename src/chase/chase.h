@@ -135,10 +135,12 @@ class ChaseEngine {
               const std::vector<Cdd>* cdds = nullptr,
               ChaseOptions options = {});
 
-  // Chases a copy of `facts` to saturation (or first violation).
+  // Chases `facts` to saturation (or first violation). The result owns
+  // the chased base, so the input is taken by value: callers with a
+  // throwaway base (a Π-skeleton, say) move it in and pay no copy.
   // The caller must have validated weak acyclicity; this function CHECKs
   // only the atom cap.
-  StatusOr<ChaseResult> Run(const FactBase& facts) const;
+  StatusOr<ChaseResult> Run(FactBase facts) const;
 
  private:
   SymbolTable* symbols_;

@@ -21,11 +21,11 @@ IncrementalChase::IncrementalChase(SymbolTable* symbols,
   KBREPAIR_CHECK(tgds != nullptr);
 }
 
-Status IncrementalChase::Initialize(const FactBase& facts) {
+Status IncrementalChase::Initialize(FactBase facts) {
   KBREPAIR_CHECK(facts.num_alive() == facts.size());
   initialized_ = false;
-  chased_ = facts;
   num_original_ = facts.size();
+  chased_ = std::move(facts);
   derivations_.Clear();
   children_.Clear();
   suppressed_.Clear();

@@ -77,8 +77,9 @@ class IncrementalChase {
   IncrementalChase(SymbolTable* symbols, const std::vector<Tgd>* tgds,
                    ChaseOptions options = {});
 
-  // Full chase of a copy of `facts`. Resets all maintained state.
-  Status Initialize(const FactBase& facts);
+  // Full chase of `facts`, which becomes the maintained base (taken by
+  // value, as in ChaseEngine::Run). Resets all maintained state.
+  Status Initialize(FactBase facts);
 
   // Flattens the maintained state (chased base, provenance, ledger) into
   // immutable shared segments so AdoptShared() forks are O(1). Call on a

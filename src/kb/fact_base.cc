@@ -135,14 +135,17 @@ void FactBase::IndexArg(AtomId id, int pos, TermId term) {
 }
 
 void FactBase::UnindexArg(AtomId id, int pos, TermId term) {
-  std::vector<AtomId>* postings =
-      by_probe_.FindMutable(ProbeKey(atoms_[id].predicate, pos, term));
+  const uint64_t key = ProbeKey(atoms_[id].predicate, pos, term);
+  std::vector<AtomId>* postings = by_probe_.FindMutable(key);
   KBREPAIR_DCHECK(postings != nullptr);
   auto entry = std::find(postings->begin(), postings->end(), id);
   KBREPAIR_DCHECK(entry != postings->end());
   // Swap-erase: posting lists are unordered multisets.
   *entry = postings->back();
   postings->pop_back();
+  // Drop the emptied list (as Remove does for by_predicate_), so rewrites
+  // and retractions leave no dead keys behind for every copy to carry.
+  if (postings->empty()) by_probe_.Erase(key);
   size_t* count = term_use_count_.FindMutable(term);
   KBREPAIR_DCHECK(count != nullptr);
   if (--*count == 0) term_use_count_.Erase(term);

@@ -36,6 +36,16 @@ TermId SymbolTable::MakeFreshVariable() {
   }
 }
 
+TermId SymbolTable::ScratchNull(size_t index) {
+  while (scratch_nulls_.size() <= index) {
+    const TermId id = static_cast<TermId>(terms_.size());
+    terms_.PushBack(TermEntry{
+        TermKind::kNull, "_S" + std::to_string(scratch_nulls_.size())});
+    scratch_nulls_.PushBack(id);
+  }
+  return scratch_nulls_[index];
+}
+
 PredicateId SymbolTable::InternPredicate(const std::string& name,
                                          int arity) {
   KBREPAIR_CHECK(arity >= 1) << " predicate " << name;
@@ -61,6 +71,7 @@ void SymbolTable::FreezeSharedBase() {
   term_index_.Freeze();
   predicates_.Freeze();
   predicate_index_.Freeze();
+  scratch_nulls_.Freeze();
 }
 
 void SymbolTable::ForkFrom(const SymbolTable& frozen) {
@@ -71,6 +82,7 @@ void SymbolTable::ForkFrom(const SymbolTable& frozen) {
   term_index_ = frozen.term_index_;
   predicates_ = frozen.predicates_;
   predicate_index_ = frozen.predicate_index_;
+  scratch_nulls_ = frozen.scratch_nulls_;
   fresh_null_counter_ = frozen.fresh_null_counter_;
   fresh_variable_counter_ = frozen.fresh_variable_counter_;
 }

@@ -77,6 +77,16 @@ class SymbolTable {
   // rule heads apart ("safe(H)" in the paper).
   TermId MakeFreshVariable();
 
+  // Scratch null #index of the table-wide pool backing Π-skeletons
+  // (repair/repairability.h). Pool entries are anonymous: they are named
+  // "_S<index>" for rendering but never enter the name index, so no
+  // interned term — a user fact null spelled "_S1" included — can alias
+  // one. The pool grows on demand, appending ids in index order; it is
+  // part of the table's shared state, so FreezeSharedBase(), ForkFrom()
+  // and Clone() carry it and every checker over a table or its forks
+  // sees the same ids.
+  TermId ScratchNull(size_t index);
+
   TermKind term_kind(TermId id) const {
     KBREPAIR_DCHECK(id >= 0 && static_cast<size_t>(id) < terms_.size());
     return terms_[static_cast<size_t>(id)].kind;
@@ -171,6 +181,8 @@ class SymbolTable {
   CowMap<std::string, TermId> term_index_;
   CowVector<PredicateEntry> predicates_;
   CowMap<std::string, PredicateId> predicate_index_;
+  // Scratch-null pool: index -> TermId (see ScratchNull).
+  CowVector<TermId> scratch_nulls_;
   uint64_t fresh_null_counter_ = 0;
   uint64_t fresh_variable_counter_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "repair/conflict.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "chase/support.h"
 #include "repair/delta_conflicts.h"
@@ -238,20 +239,14 @@ ConflictTracker::ConflictTracker(const ConflictFinder* finder)
 }
 
 void ConflictTracker::Initialize(const FactBase& facts) {
-  conflicts_.clear();
-  by_atom_.clear();
-  next_id_ = 0;
-  for (Conflict& conflict : finder_->NaiveConflicts(facts)) {
-    AddConflict(std::move(conflict));
-  }
+  InitializeFromCensus(finder_->NaiveConflicts(facts));
 }
 
-void ConflictTracker::InitializeFromCensus(
-    const std::vector<Conflict>& census) {
+void ConflictTracker::InitializeFromCensus(std::vector<Conflict> census) {
   conflicts_.clear();
   by_atom_.clear();
   next_id_ = 0;
-  for (const Conflict& conflict : census) AddConflict(conflict);
+  for (Conflict& conflict : census) AddConflict(std::move(conflict));
 }
 
 void ConflictTracker::OnFixApplied(const FactBase& facts, AtomId atom) {

@@ -127,10 +127,10 @@ class ConflictTracker {
   // Computes the initial naive conflicts of `facts`.
   void Initialize(const FactBase& facts);
 
-  // Initialize() from a precomputed census (the shared-base fork path):
-  // adds `census` in order, reproducing exactly the state Initialize()
-  // builds when `census` came from NaiveConflicts on the same facts.
-  void InitializeFromCensus(const std::vector<Conflict>& census);
+  // Initialize() from a precomputed census (Begin's own scan, or the
+  // shared-base fork path): adds `census` in order, so a census from
+  // NaiveConflicts on the same facts yields exactly Initialize()'s state.
+  void InitializeFromCensus(std::vector<Conflict> census);
 
   // Notifies that some position of `atom` in `facts` was already
   // rewritten (which position does not matter: conflicts are indexed by

@@ -1,5 +1,7 @@
 #include "repair/consistency.h"
 
+#include <utility>
+
 #include "kb/homomorphism.h"
 #include "util/logging.h"
 
@@ -29,12 +31,11 @@ StatusOr<bool> ConsistencyChecker::IsConsistentNaive(
   return true;
 }
 
-StatusOr<bool> ConsistencyChecker::IsConsistentOpt(
-    const FactBase& facts) const {
+StatusOr<bool> ConsistencyChecker::IsConsistentOpt(FactBase facts) const {
   ChaseOptions options = chase_options_;
   options.stop_on_violation = true;
   ChaseEngine engine(symbols_, tgds_, cdds_, options);
-  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(facts));
+  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(std::move(facts)));
   return !chased.violation().has_value();
 }
 

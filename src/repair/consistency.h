@@ -37,8 +37,10 @@ class ConsistencyChecker {
   // Naive CHECKCONSISTENCY: full chase, then evaluate each CDD.
   StatusOr<bool> IsConsistentNaive(const FactBase& facts) const;
 
-  // CHECKCONSISTENCY-OPT: ⊥-detecting chase with early stop.
-  StatusOr<bool> IsConsistentOpt(const FactBase& facts) const;
+  // CHECKCONSISTENCY-OPT: ⊥-detecting chase with early stop. The chase
+  // owns its input (ChaseEngine::Run), so a throwaway base moved in is
+  // never copied.
+  StatusOr<bool> IsConsistentOpt(FactBase facts) const;
 
   const std::vector<Tgd>& tgds() const { return *tgds_; }
   const std::vector<Cdd>& cdds() const { return *cdds_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "repair/conflict.h"
 #include "repair/consistency.h"
@@ -72,8 +73,9 @@ StatusOr<std::vector<NullRepair>> EnumerateMinimalNullRepairs(
           repair.retracted.push_back(candidates[i]);
         }
       }
-      KBREPAIR_ASSIGN_OR_RETURN(const bool now_consistent,
-                                checker.IsConsistentOpt(updated));
+      KBREPAIR_ASSIGN_OR_RETURN(
+          const bool now_consistent,
+          checker.IsConsistentOpt(std::move(updated)));
       if (now_consistent) {
         kept_masks.push_back(mask);
         repairs.push_back(std::move(repair));

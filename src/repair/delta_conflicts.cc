@@ -1,6 +1,7 @@
 #include "repair/delta_conflicts.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "chase/support.h"
 #include "kb/homomorphism.h"
@@ -57,37 +58,36 @@ DeltaConflictEngine::DeltaConflictEngine(SymbolTable* symbols,
     }
   }
 
-  // Predicate-level provenance closure: body_pred -> head_pred edges,
-  // then for each head predicate the backward-reachable set. Atoms of a
-  // non-head predicate are never derived, so they need no entry.
-  std::unordered_map<int32_t, std::unordered_set<int32_t>> feeds;
-  std::unordered_set<int32_t> head_preds;
+  // Predicate-level provenance closure: head_pred -> body_pred edges
+  // (the TGD body->head graph reversed), then for each head predicate
+  // the set reachable over them. Atoms of a non-head predicate are never
+  // derived, so they need no entry.
+  std::unordered_map<int32_t, std::vector<int32_t>> fed_by;
   for (const Tgd& tgd : *tgds) {
     for (const Atom& head : tgd.head()) {
-      head_preds.insert(head.predicate);
-      for (const Atom& body : tgd.body()) {
-        feeds[body.predicate].insert(head.predicate);
-      }
+      std::vector<int32_t>& bodies = fed_by[head.predicate];
+      for (const Atom& body : tgd.body()) bodies.push_back(body.predicate);
     }
   }
-  for (const int32_t pred : head_preds) {
+  std::vector<int32_t> frontier;
+  for (const auto& [pred, unused] : fed_by) {
     std::unordered_set<int32_t>& reach = contributors_[pred];
-    std::vector<int32_t> frontier{pred};
     reach.insert(pred);
+    frontier.assign(1, pred);
     while (!frontier.empty()) {
       const int32_t q = frontier.back();
       frontier.pop_back();
-      for (const auto& [p, heads] : feeds) {
-        if (reach.count(p) != 0 || heads.count(q) == 0) continue;
-        reach.insert(p);
-        frontier.push_back(p);
+      auto it = fed_by.find(q);
+      if (it == fed_by.end()) continue;
+      for (const int32_t p : it->second) {
+        if (reach.insert(p).second) frontier.push_back(p);
       }
     }
   }
 }
 
-Status DeltaConflictEngine::Initialize(const FactBase& facts) {
-  KBREPAIR_RETURN_IF_ERROR(chase_.Initialize(facts));
+Status DeltaConflictEngine::Initialize(FactBase facts) {
+  KBREPAIR_RETURN_IF_ERROR(chase_.Initialize(std::move(facts)));
   conflicts_.clear();
   by_matched_.clear();
   next_id_ = 0;

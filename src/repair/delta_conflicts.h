@@ -72,9 +72,9 @@ class DeltaConflictEngine {
                       const std::vector<Cdd>* cdds,
                       ChaseOptions chase_options = {});
 
-  // Chases a copy of `facts` and takes the full conflict census.
-  // Resets all maintained state.
-  Status Initialize(const FactBase& facts);
+  // Chases `facts` (taken by value; see IncrementalChase::Initialize)
+  // and takes the full conflict census. Resets all maintained state.
+  Status Initialize(FactBase facts);
 
   // Flattens the maintained chase into immutable shared segments so
   // InitializeFromShared() forks are O(census) instead of O(chase).

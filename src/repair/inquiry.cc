@@ -154,11 +154,12 @@ Status InquiryEngine::Begin(PositionSet initial_pi) {
   KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> initial,
                             session.finder.AllConflicts(session.facts));
   session.result.initial_conflicts = initial.size();
-  session.result.initial_naive_conflicts =
-      session.finder.NaiveConflicts(session.facts).size();
+  // One naive scan serves both the metric and the phase-one tracker.
+  std::vector<Conflict> naive = session.finder.NaiveConflicts(session.facts);
+  session.result.initial_naive_conflicts = naive.size();
 
   if (session.mode == Session::Mode::kPhaseOne) {
-    session.tracker.Initialize(session.facts);
+    session.tracker.InitializeFromCensus(std::move(naive));
   }
 
   session.total_timer.Restart();

@@ -1,6 +1,7 @@
 #include "repair/repair_checks.h"
 
 #include <unordered_map>
+#include <utility>
 
 #include "repair/conflict.h"
 #include "util/logging.h"
@@ -14,7 +15,7 @@ StatusOr<bool> IsCFix(const FactBase& facts, const std::vector<Fix>& fixes,
   }
   FactBase updated = facts;
   KBREPAIR_RETURN_IF_ERROR(ApplyFixes(updated, fixes));
-  return checker.IsConsistentOpt(updated);
+  return checker.IsConsistentOpt(std::move(updated));
 }
 
 StatusOr<bool> IsRFixSingleRemoval(const FactBase& facts,

@@ -47,25 +47,23 @@ RepairabilityChecker::RepairabilityChecker(SymbolTable* symbols,
   for (const Cdd& cdd : *cdds) collect_constants(cdd.body());
 }
 
-TermId RepairabilityChecker::ScratchNull(size_t index) const {
-  while (scratch_nulls_.size() <= index) {
-    scratch_nulls_.push_back(symbols_->InternNull(
-        "_S" + std::to_string(scratch_nulls_.size())));
-  }
-  return scratch_nulls_[index];
-}
-
 FactBase RepairabilityChecker::BuildSkeleton(const FactBase& facts,
                                              const PositionSet& pi) const {
-  FactBase skeleton = facts;
+  FactBase skeleton;
+  Atom substituted;
   size_t flat = 0;  // flat position index; advances over Π positions too
-  for (AtomId id = 0; id < skeleton.size(); ++id) {
-    const int arity = skeleton.atom(id).arity();
-    for (int arg = 0; arg < arity; ++arg, ++flat) {
+  for (AtomId id = 0; id < facts.size(); ++id) {
+    const Atom& atom = facts.atom(id);
+    substituted.predicate = atom.predicate;
+    substituted.args.assign(atom.args.begin(), atom.args.end());
+    for (int arg = 0; arg < atom.arity(); ++arg, ++flat) {
       if (pi.count(Position{id, arg}) == 0) {
-        skeleton.SetArg(id, arg, ScratchNull(flat));
+        substituted.args[static_cast<size_t>(arg)] =
+            symbols_->ScratchNull(flat);
       }
     }
+    skeleton.Add(substituted);
+    if (!facts.alive(id)) skeleton.Remove(id);
   }
   return skeleton;
 }
@@ -76,15 +74,14 @@ TermId RepairabilityChecker::SkeletonNullFor(const FactBase& facts,
   for (AtomId id = 0; id < p.atom; ++id) {
     flat += static_cast<size_t>(facts.atom(id).arity());
   }
-  return ScratchNull(flat + static_cast<size_t>(p.arg));
+  return symbols_->ScratchNull(flat + static_cast<size_t>(p.arg));
 }
 
 StatusOr<bool> RepairabilityChecker::IsPiRepairable(
     const FactBase& facts, const PositionSet& pi) const {
   trace::ScopedSpan span("repair.repairability", trace::Phase::kRepairability);
-  const FactBase skeleton = BuildSkeleton(facts, pi);
   ConsistencyChecker checker(symbols_, tgds_, cdds_, chase_options_);
-  return checker.IsConsistentOpt(skeleton);
+  return checker.IsConsistentOpt(BuildSkeleton(facts, pi));
 }
 
 RepairabilityChecker::Scope::Scope(const RepairabilityChecker* checker,
@@ -134,8 +131,9 @@ StatusOr<bool> RepairabilityChecker::Scope::FixKeepsRepairable(
 
   const SymbolTable& symbols = *checker_->symbols_;
   const TermId value = fix.value;
-  // Candidate values never collide with the skeleton's scratch nulls, so
-  // occurrences at Π positions are exactly the skeleton's use count.
+  // Candidate values are interned terms, which never equal the
+  // skeleton's anonymous scratch nulls, so occurrences at Π positions
+  // are exactly the skeleton's use count.
   const bool is_fresh_null = symbols.IsNull(value) && PiUseCount(value) == 0;
   const bool is_fresh_value = PiUseCount(value) == 0 &&
                               checker_->rule_constants_.count(value) == 0 &&

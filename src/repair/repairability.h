@@ -55,7 +55,9 @@ class RepairabilityChecker {
   // index* (atom-major, argument-minor), so the null standing in for a
   // given position is stable across skeleton builds no matter how Π has
   // grown — which is what lets an incrementally maintained skeleton
-  // (inquiry.cc) replay Π changes as position rewrites.
+  // (inquiry.cc) replay Π changes as position rewrites. Each atom is
+  // added with its arguments already substituted, so atom ids and
+  // tombstones match `facts`.
   FactBase BuildSkeleton(const FactBase& facts, const PositionSet& pi) const;
 
   // The stable scratch null standing in for `p` in any skeleton of
@@ -95,8 +97,8 @@ class RepairabilityChecker {
 
     // Occurrences of `value` at Π positions — identical to the
     // skeleton's term-use count for any candidate value, since every
-    // non-Π skeleton position holds a scratch null candidates never
-    // collide with.
+    // non-Π skeleton position holds an anonymous scratch null no
+    // interned term can equal.
     size_t PiUseCount(TermId value) const;
 
     const RepairabilityChecker* checker_;
@@ -113,10 +115,6 @@ class RepairabilityChecker {
  private:
   friend class Scope;
 
-  // Scratch null #index; the pool is reused across skeletons so the
-  // symbol table does not grow with every question.
-  TermId ScratchNull(size_t index) const;
-
   SymbolTable* symbols_;
   const std::vector<Tgd>* tgds_;
   const std::vector<Cdd>* cdds_;
@@ -125,7 +123,6 @@ class RepairabilityChecker {
   // colliding with one of these can trigger a constraint even if no
   // other fact carries it.
   std::unordered_set<TermId> rule_constants_;
-  mutable std::vector<TermId> scratch_nulls_;
 };
 
 }  // namespace kbrepair

@@ -295,6 +295,63 @@ INSTANTIATE_TEST_SUITE_P(AllStrategiesBothEngines, ForkDifferential,
                          ::testing::ValuesIn(MakeStrategyEngineCases()),
                          CaseName);
 
+// BuildSharedKbSnapshot's mint guard drops the engine prototypes when
+// building them interns a symbol. Forks then fall back to cold engine
+// initialization and still pass the lockstep above, so only these
+// assertions notice. Both workload shapes must keep their prototypes.
+TEST(SnapshotPrototypes, ArmedForTgdFreeAndFullTgdBases) {
+  for (const bool with_tgds : {false, true}) {
+    const std::shared_ptr<const SharedKbSnapshot>& snapshot =
+        CachedSnapshot(4, with_tgds);
+    ASSERT_TRUE(snapshot->repairable) << "with_tgds=" << with_tgds;
+    const SharedBeginSeed seed = snapshot->Seed();
+    EXPECT_NE(seed.delta_proto, nullptr) << "with_tgds=" << with_tgds;
+    EXPECT_NE(seed.skeleton_proto, nullptr) << "with_tgds=" << with_tgds;
+  }
+}
+
+// A fork shares the base's scratch-null pool, so neither BeginShared
+// nor the first question's skeleton work interns anything; the only new
+// terms are the fresh-null candidate values the question generator
+// mints ("_N<k>").
+TEST(SnapshotPrototypes, ForkedBeginAndFirstQuestionInternOnlyFreshNulls) {
+  for (const bool with_tgds : {false, true}) {
+    for (const ConflictEngineKind engine :
+         {ConflictEngineKind::kScratch, ConflictEngineKind::kIncremental}) {
+      for (const bool two_phase : {false, true}) {
+        const std::shared_ptr<const SharedKbSnapshot>& snapshot =
+            CachedSnapshot(4, with_tgds);
+        KnowledgeBase kb = snapshot->Fork();
+        InquiryOptions options;
+        options.strategy = Strategy::kOptiMcd;
+        options.conflict_engine = engine;
+        options.two_phase = two_phase;
+        options.seed = 7;
+        InquiryEngine forked(&kb, options);
+        const std::string label =
+            std::string(ConflictEngineName(engine)) +
+            (two_phase ? " 2ph" : " basic") +
+            (with_tgds ? " tgd" : " flat");
+
+        const size_t base_terms = kb.symbols().num_terms();
+        ASSERT_TRUE(forked.BeginShared(snapshot->Seed()).ok()) << label;
+        EXPECT_EQ(kb.symbols().num_terms(), base_terms) << label;
+
+        StatusOr<const Question*> question = forked.NextQuestion();
+        ASSERT_TRUE(question.ok()) << label << ": " << question.status();
+        ASSERT_NE(*question, nullptr) << label;
+        EXPECT_EQ(forked.progress().engine_fallbacks, 0u) << label;
+        for (TermId id = static_cast<TermId>(base_terms);
+             id < static_cast<TermId>(kb.symbols().num_terms()); ++id) {
+          EXPECT_TRUE(kb.symbols().IsNull(id)) << label;
+          EXPECT_EQ(kb.symbols().term_name(id).rfind("_N", 0), 0u)
+              << label << ": interned " << kb.symbols().term_name(id);
+        }
+      }
+    }
+  }
+}
+
 // Many siblings of one base interleaved: mutations in one fork must
 // never leak into another or into the base.
 TEST(ForkIsolation, InterleavedSiblingForksStayIndependent) {

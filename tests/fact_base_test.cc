@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -425,6 +426,52 @@ TEST_F(FactBaseTest, FreezePreservesPostingListOrder) {
             probe_order);
   EXPECT_EQ(fork.AtomsWithTermAt(p_, 0, c_).size(), 1u);
   EXPECT_EQ(fork.AtomsWithTermAt(p_, 0, a_).size(), 1u);
+}
+
+TEST_F(FactBaseTest, RewriteRoundTripLeavesNoEmptyPostingLists) {
+  facts_.Add(Atom(p_, {a_, b_}));
+  facts_.Add(Atom(p_, {a_, c_}));
+  facts_.Add(Atom(q_, {a_, b_, c_}));
+  const TermId d = symbols_.InternConstant("d");
+  const size_t overlay = facts_.overlay_size();
+  const std::string rendered = facts_.ToString(symbols_);
+
+  // b -> d -> b: the (p, 1, d) list exists only in between.
+  facts_.SetArg(0, 1, d);
+  facts_.SetArg(0, 1, b_);
+  EXPECT_EQ(facts_.overlay_size(), overlay);
+  EXPECT_EQ(facts_.ToString(symbols_), rendered);
+  EXPECT_TRUE(facts_.AtomsWithTermAt(p_, 1, d).empty());
+  EXPECT_EQ(facts_.TermUseCount(d), 0u);
+  const AtomSpan at_b = facts_.AtomsWithTermAt(p_, 1, b_);
+  EXPECT_EQ(std::vector<AtomId>(at_b.begin(), at_b.end()),
+            std::vector<AtomId>{0});
+}
+
+TEST_F(FactBaseTest, AddRemoveChurnLeavesNoEmptyPostingLists) {
+  facts_.Add(Atom(p_, {a_, b_}));
+  facts_.Add(Atom(p_, {a_, c_}));
+  const TermId d = symbols_.InternConstant("d");
+  const TermId e = symbols_.InternConstant("e");
+  const size_t overlay = facts_.overlay_size();
+  const std::string rendered = facts_.ToString(symbols_);
+  const AtomSpan pred_before = facts_.AtomsWithPredicate(p_);
+  const std::vector<AtomId> pred_order(pred_before.begin(),
+                                       pred_before.end());
+
+  constexpr size_t kRounds = 8;
+  for (size_t round = 0; round < kRounds; ++round) {
+    facts_.Remove(facts_.Add(Atom(p_, {d, e})));
+  }
+  // Ids are never recycled, so the atom column grows by the churned
+  // atoms; every posting list and use count they created is gone again.
+  EXPECT_EQ(facts_.overlay_size(), overlay + kRounds);
+  EXPECT_EQ(facts_.ToString(symbols_), rendered);
+  EXPECT_TRUE(facts_.AtomsWithTermAt(p_, 0, d).empty());
+  EXPECT_TRUE(facts_.AtomsWithTermAt(p_, 1, e).empty());
+  const AtomSpan pred_after = facts_.AtomsWithPredicate(p_);
+  EXPECT_EQ(std::vector<AtomId>(pred_after.begin(), pred_after.end()),
+            pred_order);
 }
 
 TEST(AtomTest, EqualityAndHash) {

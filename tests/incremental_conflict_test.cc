@@ -21,12 +21,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gen/synthetic.h"
+#include "parser/dlgp_parser.h"
+#include "repair/conflict.h"
+#include "repair/delta_conflicts.h"
 #include "repair/fix.h"
 #include "repair/inquiry.h"
 #include "repair/question.h"
@@ -248,6 +254,107 @@ std::vector<DifferentialCase> MakeCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialInquiry,
                          ::testing::ValuesIn(MakeCases()), CaseName);
+
+// --- Support refresh over a cyclic, diamond-shaped rule graph ---------
+
+// Engine-independent identity of a conflict (see CanonicalConflictLess):
+// CDD index, matched atoms with derived ids collapsed, original support.
+struct ConflictKey {
+  size_t cdd_index;
+  std::vector<int64_t> pattern;
+  std::vector<AtomId> support;
+
+  bool operator==(const ConflictKey& other) const {
+    return cdd_index == other.cdd_index && pattern == other.pattern &&
+           support == other.support;
+  }
+};
+
+std::ostream& operator<<(std::ostream& out, const ConflictKey& key) {
+  out << "cdd " << key.cdd_index << " matched [";
+  for (const int64_t id : key.pattern) out << " " << id;
+  out << " ] support [";
+  for (const AtomId id : key.support) out << " " << id;
+  return out << " ]";
+}
+
+std::vector<ConflictKey> Keys(const std::vector<Conflict>& conflicts,
+                              size_t num_original) {
+  std::vector<ConflictKey> keys;
+  for (const Conflict& conflict : conflicts) {
+    ConflictKey key{conflict.cdd_index, {}, conflict.support};
+    for (const AtomId id : conflict.matched) {
+      key.pattern.push_back(id < num_original ? static_cast<int64_t>(id)
+                                              : int64_t{-1});
+    }
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+// The delta engine refreshes the supports of surviving conflicts whose
+// derived atoms a fix can re-prove, using a predicate-level closure of
+// the TGD graph. Here d is reached from a along two paths (a->b->d and
+// a->c->d) and sits on a cycle with e, so a closure that missed a
+// branch, stopped after one edge or looped would leave a stale support.
+// After every fix the maintained census must equal a from-scratch
+// census.
+TEST(DeltaConflictEngineTest, SupportRefreshMatchesScratchOnCyclicDiamond) {
+  StatusOr<KnowledgeBase> parsed = ParseDlgp(R"(
+    a(k, m). b(k, m). c(k, n). e(z, m). bad(m). bad(n). a(j, m).
+    y(h, m). v(m). x(h, m).
+    b(X, Y) :- a(X, Y).
+    w(Y) :- v(Y).
+    b(X, Y) :- y(X, Y), w(Y).
+    b(X, Y) :- x(X, Y).
+    c(X, Y) :- a(X, Y).
+    d(X, Y) :- b(X, Y).
+    d(X, Y) :- c(X, Y).
+    e(X, Y) :- d(X, Y).
+    d(X, Y) :- e(X, Y).
+    ! :- d(X, Y), bad(Y).
+  )");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  KnowledgeBase& kb = *parsed;
+  SymbolTable& symbols = kb.symbols();
+  const TermId k = symbols.InternConstant("k");
+  const TermId m = symbols.InternConstant("m");
+  const TermId n = symbols.InternConstant("n");
+  const TermId q = symbols.InternConstant("q");
+
+  FactBase working = kb.facts();
+  DeltaConflictEngine delta(&symbols, &kb.tgds(), &kb.cdds());
+  ASSERT_TRUE(delta.Initialize(working).ok());
+  const ConflictFinder scratch(&symbols, &kb.tgds(), &kb.cdds());
+
+  const std::vector<Fix> fixes = {
+      // y(h,q): the chase derived b(h,m) from x(h,m) (y's trigger waits
+      // a wave for w(m)), so this fix derives and retracts nothing. Only
+      // the two-edge closure y->b->d sees that the canonical support of
+      // d(h,m) moves from {y(h,m), v(m)} to {x(h,m)}.
+      {7, 1, q},
+      {0, 1, q},  // a(k,q): d(k,m) survives through the original b(k,m)
+      {6, 1, q},  // a(j,q): d(j,m) loses both diamond proofs (b and c)
+      {1, 1, q},  // b(k,q): d(k,m) loses its last proof
+      {3, 0, k},  // e(k,m): d(k,m) comes back around the d/e cycle
+      {2, 1, m},  // c(k,m): a second proof of d(k,m)
+      {4, 0, n},  // bad(n): every live conflict moves to n
+  };
+  for (size_t step = 0; step <= fixes.size(); ++step) {
+    if (step > 0) {
+      const Fix& fix = fixes[step - 1];
+      working.SetArg(fix.atom, fix.arg, fix.value);
+      ASSERT_TRUE(delta.OnFixApplied(fix.atom, fix.arg, fix.value).ok());
+      ASSERT_TRUE(delta.VerifyInvariants().ok()) << "step " << step;
+    }
+    StatusOr<std::vector<Conflict>> expected = scratch.AllConflicts(working);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    CanonicalizeConflicts(*expected, working.size());
+    EXPECT_EQ(Keys(delta.CanonicalConflicts(), working.size()),
+              Keys(*expected, working.size()))
+        << "step " << step;
+  }
+}
 
 }  // namespace
 }  // namespace kbrepair

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "parser/dlgp_parser.h"
 #include "repair/consistency.h"
 
@@ -158,6 +160,63 @@ TEST(RepairabilityTest, AgreesWithBruteForceOnSmallKbs) {
       EXPECT_EQ(fast, brute) << text;
     }
   }
+}
+
+TEST(RepairabilityTest, UserNullSpelledLikeScratchNullDoesNotAlias) {
+  // p(a, b)'s second position is flat position 1, whose scratch null
+  // renders as "_S1". Freezing q[0] keeps the user's null _S1 in the
+  // skeleton; were the two the same term, the join would be forced and
+  // the KB declared unrepairable. Fixing p[1] repairs it.
+  for (const char* null_name : {"_S1", "_Z1"}) {
+    KnowledgeBase kb = Parse(std::string("p(a, b). q(") + null_name +
+                             "). ! :- p(X, Y), q(Y).");
+    RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+    const PositionSet pi = {Position{1, 0}};
+    EXPECT_TRUE(checker.IsPiRepairable(kb.facts(), pi).value()) << null_name;
+    EXPECT_EQ(checker.IsPiRepairable(kb.facts(), pi).value(),
+              BruteForcePiRepairable(kb, pi))
+        << null_name;
+  }
+}
+
+TEST(RepairabilityTest, SkeletonKeepsAtomIdsAndTombstones) {
+  KnowledgeBase kb = Parse("p(a, b). q(b, c). p(c, d).");
+  FactBase facts = kb.facts();
+  facts.Remove(1);
+  RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  const PositionSet pi = {Position{0, 1}, Position{2, 0}};
+  const FactBase skeleton = checker.BuildSkeleton(facts, pi);
+
+  ASSERT_EQ(skeleton.size(), facts.size());
+  EXPECT_EQ(skeleton.num_alive(), facts.num_alive());
+  EXPECT_FALSE(skeleton.alive(1));
+  for (AtomId id = 0; id < facts.size(); ++id) {
+    const Atom& atom = facts.atom(id);
+    const Atom& skel = skeleton.atom(id);
+    ASSERT_EQ(skel.predicate, atom.predicate) << "atom " << id;
+    for (int arg = 0; arg < atom.arity(); ++arg) {
+      const Position p{id, arg};
+      const TermId value = skel.args[static_cast<size_t>(arg)];
+      if (pi.count(p) > 0) {
+        EXPECT_EQ(value, atom.args[static_cast<size_t>(arg)]);
+      } else {
+        EXPECT_EQ(value, checker.SkeletonNullFor(facts, p));
+        EXPECT_TRUE(kb.symbols().IsNull(value));
+      }
+    }
+  }
+  // Frozen values stay probe-able; the dead atom is in no index.
+  const PredicateId p = kb.symbols().FindPredicate("p");
+  const TermId b = kb.symbols().FindTerm(TermKind::kConstant, "b");
+  EXPECT_EQ(skeleton.AtomsWithTermAt(p, 1, b).size(), 1u);
+  EXPECT_EQ(skeleton.AtomsWithPredicate(kb.symbols().FindPredicate("q"))
+                .size(),
+            0u);
+  // The first build minted the pool up to the last flat position; a
+  // second build with a different Π reuses it.
+  const size_t terms = kb.symbols().num_terms();
+  checker.BuildSkeleton(facts, {});
+  EXPECT_EQ(kb.symbols().num_terms(), terms);
 }
 
 TEST(RepairabilityScopeTest, FreshNullFastPath) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace kbrepair {
 namespace {
 
@@ -56,6 +58,48 @@ TEST(SymbolTableTest, FreshNullAvoidsUserClaimedNames) {
   symbols.InternNull("_N1");  // user grabbed the first generated name
   const TermId fresh = symbols.MakeFreshNull();
   EXPECT_NE(symbols.term_name(fresh), "_N1");
+}
+
+TEST(SymbolTableTest, ScratchNullsAreAnonymousAndAppendInOrder) {
+  SymbolTable symbols;
+  const TermId user = symbols.InternNull("_S1");  // a user fact null
+  const TermId s1 = symbols.ScratchNull(1);        // mints #0 and #1
+  const TermId s0 = symbols.ScratchNull(0);
+  EXPECT_NE(s1, user);
+  EXPECT_EQ(s0, user + 1);
+  EXPECT_EQ(s1, user + 2);
+  EXPECT_EQ(symbols.ScratchNull(1), s1);  // stable
+  EXPECT_TRUE(symbols.IsNull(s1));
+  EXPECT_EQ(symbols.term_name(s0), "_S0");
+  EXPECT_EQ(symbols.term_name(s1), "_S1");
+  // Pool entries never enter the name index.
+  EXPECT_EQ(symbols.FindTerm(TermKind::kNull, "_S1"), user);
+  EXPECT_EQ(symbols.FindTerm(TermKind::kNull, "_S0"), kInvalidTerm);
+  EXPECT_EQ(symbols.InternNull("_S0"), static_cast<TermId>(3));
+}
+
+TEST(SymbolTableTest, ScratchNullPoolIsSharedByForksAndClones) {
+  SymbolTable base;
+  base.InternConstant("a");
+  const TermId s2 = base.ScratchNull(2);
+  base.FreezeSharedBase();
+
+  SymbolTable fork;
+  fork.ForkFrom(base);
+  const size_t terms = fork.num_terms();
+  EXPECT_EQ(fork.ScratchNull(2), s2);
+  EXPECT_EQ(fork.ScratchNull(0), base.ScratchNull(0));
+  EXPECT_EQ(fork.num_terms(), terms);
+  EXPECT_EQ(fork.overlay_size(), 0u);
+
+  // Growing a fork's pool stays private to the fork.
+  const TermId s3 = fork.ScratchNull(3);
+  EXPECT_EQ(s3, static_cast<TermId>(terms));
+  EXPECT_EQ(base.num_terms(), terms);
+
+  std::unique_ptr<SymbolTable> clone = fork.Clone();
+  EXPECT_EQ(clone->ScratchNull(3), s3);
+  EXPECT_EQ(clone->num_terms(), fork.num_terms());
 }
 
 TEST(SymbolTableTest, FreshVariablesAreDistinct) {
