@@ -15,10 +15,12 @@
 // .json). The schema's two engine columns are reused per ladder:
 //   size_ladder  "join ..."        scratch = full naive-conflict rescan,
 //                                  incremental = UPDATECONFLICTS probe;
-//   depth_ladder "saturation ..."  scratch = chase at --chase-threads 1,
-//                                  incremental = chase at 2 threads.
+//   depth_ladder "saturation ..."  scratch = ChaseEngine::Run,
+//                                  incremental = IncrementalChase::
+//                                  Initialize, on the same KB.
 // Each row therefore gates one hot primitive of the cache-dense chase
-// path (columnar candidate scan / arena-backed wave saturation).
+// path (columnar candidate scan / arena-backed wave saturation) in both
+// engines.
 
 #include <benchmark/benchmark.h>
 
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "gen/synthetic.h"
 #include "kb/homomorphism.h"
 #include "repair/conflict.h"
@@ -332,28 +335,32 @@ std::string JoinRow(size_t num_facts) {
                  incremental);
 }
 
-// One saturation row: the wave chase at 1 thread (scratch column) and
-// 2 threads (incremental column) over a TGD-heavy workload. Workloads
-// are sized so each run is a few milliseconds — on an oversubscribed
-// runner a scheduler preemption then shifts the 16-sample mean by a
-// few percent instead of doubling it.
+// One saturation row: a full wave saturation by the scratch engine
+// (ChaseEngine::Run) and by the delta engine (IncrementalChase::
+// Initialize) over a TGD-heavy workload. Workloads are sized so each run
+// is a few milliseconds — on an oversubscribed runner a scheduler
+// preemption then shifts the 16-sample mean by a few percent instead of
+// doubling it.
 std::string SaturationRow(size_t num_facts) {
   SyntheticKb generated =
       MakeKb(num_facts, 0.1, /*num_tgds=*/20, /*depth=*/2);
   KnowledgeBase& kb = generated.kb;
-  const auto run_at = [&kb](size_t threads) {
-    ChaseOptions options;
-    options.stop_on_violation = false;
-    options.num_threads = threads;
-    ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr, options);
-    return MeasureMs(16, [&] {
-      StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-      KBREPAIR_CHECK(chased.ok()) << chased.status();
-      benchmark::DoNotOptimize(chased->num_derived());
-    });
-  };
+  ChaseOptions options;
+  options.stop_on_violation = false;
+  ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr, options);
+  const QuickStats scratch = MeasureMs(16, [&] {
+    StatusOr<ChaseResult> chased = engine.Run(kb.facts());
+    KBREPAIR_CHECK(chased.ok()) << chased.status();
+    benchmark::DoNotOptimize(chased->num_derived());
+  });
+  IncrementalChase delta(&kb.symbols(), &kb.tgds(), options);
+  const QuickStats incremental = MeasureMs(16, [&] {
+    const Status status = delta.Initialize(kb.facts());
+    KBREPAIR_CHECK(status.ok()) << status;
+    benchmark::DoNotOptimize(delta.facts().size());
+  });
   return RowJson("saturation " + std::to_string(num_facts) + " facts d2",
-                 run_at(1), run_at(2));
+                 scratch, incremental);
 }
 
 int RunQuickGate(const std::string& out_path) {

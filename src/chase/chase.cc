@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "chase/wave.h"
 #include "kb/homomorphism.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -62,11 +61,30 @@ ChaseEngine::ChaseEngine(SymbolTable* symbols, const std::vector<Tgd>* tgds,
 
 namespace {
 
-// Per-wave-slot Phase A findings. Written by exactly one worker; read
-// sequentially in Phase B.
-struct SlotResult {
-  std::vector<PendingTrigger> triggers;
-  std::optional<ChaseViolation> violation;  // slot's first, body order
+// Both engines (this one and IncrementalChase) saturate in *waves*; a
+// wave is the snapshot of the current work queue:
+//
+//   Phase A (read-only): for every wave atom, in wave order, enumerate
+//   the TGD triggers (and, here, the first CDD violation) anchored at it
+//   against the wave-start fact base. Trigger spans go into a scratch
+//   arena that is reset once the wave has been fired.
+//
+//   Phase B: fire (or, in IncrementalChase, suppress) each pending
+//   trigger in Phase A order against the live base. Atoms are added and
+//   fresh nulls minted only here, so this order fixes atom ids, null
+//   names and provenance, and both engines reach competing triggers in
+//   the same order.
+//
+// Completeness: a trigger (or violation) whose body uses an atom added
+// during the current wave's Phase B is invisible to that wave's
+// snapshot, but the new atom joins the next wave, where the enumeration
+// anchored at it finds the homomorphism. This is the usual semi-naive
+// argument: every homomorphism has a last-arriving atom, and it is found
+// when that atom's wave runs.
+struct PendingTrigger {
+  size_t tgd_index = 0;
+  ArenaSpan<AtomId> matched;    // body-matched atoms, body order
+  ArenaSpan<Binding> bindings;  // frontier bindings, flat
 };
 
 }  // namespace
@@ -114,8 +132,8 @@ StatusOr<ChaseResult> ChaseEngine::Run(FactBase facts) const {
   }
 
   HomomorphismFinder finder(symbols_, &result.facts_);
-  WaveExecutor exec(options_.num_threads);
-  std::vector<SlotResult> slots;
+  Arena scratch;  // Phase A trigger spans; reset after every wave
+  std::vector<PendingTrigger> pending;
   std::vector<AtomId> next;
   std::vector<Atom> head_query;
   std::vector<Binding> head_bindings;
@@ -125,125 +143,114 @@ StatusOr<ChaseResult> ChaseEngine::Run(FactBase facts) const {
     if (options_.cancel != nullptr) {
       KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("chase"));
     }
-    if (slots.size() < wave.size()) slots.resize(wave.size());
 
-    // --- Phase A: enumerate triggers (and CDD violations) against the
-    // wave-start snapshot. Read-only on the fact base; each slot writes
-    // its own SlotResult and its worker's arena.
+    // --- Phase A: enumerate triggers, and the wave's first CDD
+    // violation, against the wave-start snapshot.
+    pending.clear();
+    std::optional<ChaseViolation> violation;
     const bool check_cdds =
         cdds_ != nullptr && !result.violation_.has_value();
-    exec.ForEachSlot(wave.size(), [&](size_t s, Arena& arena) {
-      SlotResult& slot = slots[s];
-      slot.triggers.clear();
-      slot.violation.reset();
-      const AtomId current = wave[s];
+    for (const AtomId current : wave) {
       const PredicateId pred = result.facts_.atom(current).predicate;
 
       // ⊥-detection: does a CDD body have a homomorphism using the
       // current atom? (CHECKCONSISTENCY-OPT.)
-      if (check_cdds) {
+      if (check_cdds && !violation.has_value()) {
         auto it = cdd_anchor_index.find(pred);
         if (it != cdd_anchor_index.end()) {
           for (const auto& [cdd_index, body_pos] : it->second) {
             finder.FindAllPinnedViews(
                 (*cdds_)[cdd_index].body(), body_pos, current,
                 [&, cdd_index = cdd_index](const HomomorphismView& view) {
-                  ChaseViolation violation;
-                  violation.cdd_index = cdd_index;
-                  violation.matched.assign(view.matched,
-                                           view.matched + view.num_matched);
-                  slot.violation = std::move(violation);
-                  return false;  // first violation per slot suffices
+                  violation.emplace();
+                  violation->cdd_index = cdd_index;
+                  violation->matched.assign(view.matched,
+                                            view.matched + view.num_matched);
+                  return false;  // the first violation suffices
                 });
-            if (slot.violation.has_value()) break;
+            if (violation.has_value()) break;
           }
         }
       }
 
+      // Stopping at a violation fires only the triggers anchored at the
+      // atoms before it, as if the wave had halted there.
+      if (violation.has_value() && options_.stop_on_violation) break;
+
       // TGD triggers anchored at the current atom.
       auto it = tgd_anchor_index.find(pred);
-      if (it == tgd_anchor_index.end()) return;
+      if (it == tgd_anchor_index.end()) continue;
       for (const auto& [tgd_index, body_pos] : it->second) {
         finder.FindAllPinnedViews(
             (*tgds_)[tgd_index].body(), body_pos, current,
             [&, tgd_index = tgd_index](const HomomorphismView& view) {
               PendingTrigger trigger;
               trigger.tgd_index = tgd_index;
-              trigger.matched = arena.Copy(view.matched, view.num_matched);
+              trigger.matched = scratch.Copy(view.matched, view.num_matched);
               trigger.bindings =
-                  arena.Copy(view.bindings, view.num_bindings);
-              slot.triggers.push_back(trigger);
+                  scratch.Copy(view.bindings, view.num_bindings);
+              pending.push_back(trigger);
               return true;
             });
       }
-    });
+    }
 
-    // --- Phase B: deterministic sequential merge in slot order. All
-    // mutation (violation recording, restricted test, fresh nulls, atom
-    // insertion) happens here, so the output is independent of how
-    // Phase A was scheduled.
+    // --- Phase B: fire in Phase A order. All mutation (restricted test,
+    // fresh nulls, atom insertion) happens here.
     next.clear();
-    for (size_t s = 0; s < wave.size(); ++s) {
+    for (const PendingTrigger& trigger : pending) {
       if (options_.cancel != nullptr && (++steps & 63) == 0) {
         KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("chase"));
       }
-      SlotResult& slot = slots[s];
-      if (slot.violation.has_value() && !result.violation_.has_value()) {
-        result.violation_ = std::move(slot.violation);
-        if (options_.stop_on_violation) return result;
+      const Tgd& tgd = (*tgds_)[trigger.tgd_index];
+      // Restricted-chase test against the LIVE base: skip if the head is
+      // already satisfied under the trigger's frontier bindings
+      // (existentials free) — including by atoms fired earlier this wave.
+      head_query.clear();
+      for (const Atom& head_atom : tgd.head()) {
+        head_query.push_back(SubstituteTerms(head_atom, trigger.bindings.ptr,
+                                             trigger.bindings.len));
       }
-      for (const PendingTrigger& trigger : slot.triggers) {
-        const Tgd& tgd = (*tgds_)[trigger.tgd_index];
-        // Restricted-chase test against the LIVE base: skip if the head
-        // is already satisfied under the trigger's frontier bindings
-        // (existentials free) — including by atoms fired earlier this
-        // wave.
-        head_query.clear();
-        for (const Atom& head_atom : tgd.head()) {
-          head_query.push_back(SubstituteTerms(
-              head_atom, trigger.bindings.ptr, trigger.bindings.len));
-        }
-        if (finder.Exists(head_query)) continue;
+      if (finder.Exists(head_query)) continue;
 
-        // Fire: instantiate existential variables with fresh nulls.
-        head_bindings.assign(trigger.bindings.begin(),
-                             trigger.bindings.end());
-        const size_t num_frontier = head_bindings.size();
-        for (TermId var : tgd.existential_variables()) {
-          head_bindings.push_back(Binding{var, symbols_->MakeFreshNull()});
+      // Fire: instantiate existential variables with fresh nulls.
+      head_bindings.assign(trigger.bindings.begin(), trigger.bindings.end());
+      const size_t num_frontier = head_bindings.size();
+      for (TermId var : tgd.existential_variables()) {
+        head_bindings.push_back(Binding{var, symbols_->MakeFreshNull()});
+      }
+      for (const Atom& head_atom : tgd.head()) {
+        const Atom instance = SubstituteTerms(head_atom, head_bindings.data(),
+                                              head_bindings.size());
+        // Avoid duplicating a ground atom that already exists. Atoms
+        // carrying fresh nulls are new by construction.
+        bool has_fresh_null = false;
+        for (TermId arg : instance.args) {
+          for (size_t k = num_frontier; k < head_bindings.size(); ++k) {
+            has_fresh_null = has_fresh_null || head_bindings[k].term == arg;
+          }
         }
-        for (const Atom& head_atom : tgd.head()) {
-          const Atom instance = SubstituteTerms(
-              head_atom, head_bindings.data(), head_bindings.size());
-          // Avoid duplicating a ground atom that already exists. Atoms
-          // carrying fresh nulls are new by construction.
-          bool has_fresh_null = false;
-          for (TermId arg : instance.args) {
-            for (size_t k = num_frontier; k < head_bindings.size(); ++k) {
-              has_fresh_null =
-                  has_fresh_null || head_bindings[k].term == arg;
-            }
-          }
-          if (!has_fresh_null && result.facts_.Contains(instance)) {
-            continue;
-          }
-          if (result.facts_.size() >= options_.max_atoms) {
-            return Status::Internal(
-                "chase exceeded max_atoms; TGD set likely not weakly "
-                "acyclic or cap too low");
-          }
-          const AtomId new_id = result.facts_.Add(instance);
-          Derivation derivation;
-          derivation.tgd_index = trigger.tgd_index;
-          derivation.parents =
-              result.arena_->Copy(trigger.matched.ptr, trigger.matched.len);
-          result.derivations_.push_back(derivation);
-          next.push_back(new_id);
+        if (!has_fresh_null && result.facts_.Contains(instance)) continue;
+        if (result.facts_.size() >= options_.max_atoms) {
+          return Status::Internal(
+              "chase exceeded max_atoms; TGD set likely not weakly acyclic "
+              "or cap too low");
         }
+        const AtomId new_id = result.facts_.Add(instance);
+        Derivation derivation;
+        derivation.tgd_index = trigger.tgd_index;
+        derivation.parents =
+            result.arena_->Copy(trigger.matched.ptr, trigger.matched.len);
+        result.derivations_.push_back(derivation);
+        next.push_back(new_id);
       }
     }
+    if (violation.has_value()) {
+      result.violation_ = std::move(violation);
+      if (options_.stop_on_violation) return result;
+    }
 
-    exec.ResetArenas();
+    scratch.Reset();
     wave.swap(next);
   }
   return result;

@@ -119,12 +119,6 @@ struct ChaseOptions {
   // component built from the same options (finder, repairability checker,
   // delta engines), so one armed deadline bounds a whole engine command.
   std::shared_ptr<CancelToken> cancel;
-
-  // Worker threads for the wave-parallel trigger enumeration (Phase A of
-  // each saturation wave); 1 = fully sequential. The wave algorithm is
-  // identical for every value, so atom ids, fresh-null names, provenance
-  // and transcripts are byte-identical across thread counts.
-  size_t num_threads = 1;
 };
 
 // Runs the chase over `facts`. The symbol table is mutated (fresh nulls).

@@ -5,13 +5,24 @@
 #include <optional>
 #include <utility>
 
-#include "chase/wave.h"
 #include "kb/homomorphism.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/trace.h"
 
 namespace kbrepair {
+
+namespace {
+
+// A trigger found in a wave's Phase A, pending its Phase B head check.
+// The wave discipline is ChaseEngine::Run's (see chase.cc).
+struct PendingTrigger {
+  size_t tgd_index = 0;
+  ArenaSpan<AtomId> matched;    // body-matched atoms, body order
+  ArenaSpan<Binding> bindings;  // frontier bindings, flat
+};
+
+}  // namespace
 
 IncrementalChase::IncrementalChase(SymbolTable* symbols,
                                    const std::vector<Tgd>* tgds,
@@ -167,10 +178,8 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave) {
     KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("delta chase"));
   }
   HomomorphismFinder finder(symbols_, &chased_);
-  WaveExecutor exec(options_.num_threads);
-  // Per-slot Phase A findings; written by one worker each, merged in
-  // slot order by Phase B.
-  std::vector<std::vector<PendingTrigger>> slots;
+  Arena scratch;  // Phase A trigger spans; reset after every wave
+  std::vector<PendingTrigger> pending;
   std::vector<AtomId> next;
   std::vector<Atom> head_query;
   size_t steps = 0;
@@ -179,66 +188,60 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave) {
     if (options_.cancel != nullptr) {
       KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("delta chase"));
     }
-    if (slots.size() < wave.size()) slots.resize(wave.size());
 
     // --- Phase A: enumerate triggers anchored at each wave atom against
-    // the wave-start snapshot (read-only; same discipline as the scratch
-    // engine, so both reach competing triggers in the same order).
-    exec.ForEachSlot(wave.size(), [&](size_t s, Arena& arena) {
-      std::vector<PendingTrigger>& triggers = slots[s];
-      triggers.clear();
-      const AtomId current = wave[s];
-      if (!chased_.alive(current)) return;
+    // the wave-start snapshot (the same discipline as ChaseEngine, so
+    // both engines reach competing triggers in the same order).
+    pending.clear();
+    for (const AtomId current : wave) {
+      if (!chased_.alive(current)) continue;
       const PredicateId pred = chased_.atom(current).predicate;
       auto it = anchor_index_->find(pred);
-      if (it == anchor_index_->end()) return;
+      if (it == anchor_index_->end()) continue;
       for (const auto& [tgd_index, body_pos] : it->second) {
         finder.FindAllPinnedViews(
             (*tgds_)[tgd_index].body(), body_pos, current,
             [&, tgd_index = tgd_index](const HomomorphismView& view) {
               PendingTrigger trigger;
               trigger.tgd_index = tgd_index;
-              trigger.matched = arena.Copy(view.matched, view.num_matched);
+              trigger.matched = scratch.Copy(view.matched, view.num_matched);
               trigger.bindings =
-                  arena.Copy(view.bindings, view.num_bindings);
-              triggers.push_back(trigger);
+                  scratch.Copy(view.bindings, view.num_bindings);
+              pending.push_back(trigger);
               return true;
             });
       }
-    });
+    }
 
-    // --- Phase B: deterministic sequential fire/suppress in slot order
-    // against the live base.
+    // --- Phase B: fire or suppress in Phase A order against the live
+    // base.
     next.clear();
-    for (size_t s = 0; s < wave.size(); ++s) {
+    for (const PendingTrigger& trigger : pending) {
       if (options_.cancel != nullptr && (++steps & 63) == 0) {
         KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("delta chase"));
       }
-      for (const PendingTrigger& trigger : slots[s]) {
-        const Tgd& tgd = (*tgds_)[trigger.tgd_index];
-        head_query.clear();
-        for (const Atom& head_atom : tgd.head()) {
-          head_query.push_back(SubstituteTerms(
-              head_atom, trigger.bindings.ptr, trigger.bindings.len));
-        }
-        std::optional<Homomorphism> witness = finder.FindFirst(head_query);
-        if (witness.has_value()) {
-          RecordSuppressed(
-              trigger.tgd_index,
-              std::vector<AtomId>(trigger.matched.begin(),
-                                  trigger.matched.end()),
-              std::vector<Binding>(trigger.bindings.begin(),
-                                   trigger.bindings.end()),
-              witness->matched);
-          continue;
-        }
-        KBREPAIR_RETURN_IF_ERROR(FireTrigger(
-            trigger.tgd_index, trigger.matched.ptr, trigger.matched.len,
-            trigger.bindings.ptr, trigger.bindings.len, &next));
+      const Tgd& tgd = (*tgds_)[trigger.tgd_index];
+      head_query.clear();
+      for (const Atom& head_atom : tgd.head()) {
+        head_query.push_back(SubstituteTerms(head_atom, trigger.bindings.ptr,
+                                             trigger.bindings.len));
       }
+      std::optional<Homomorphism> witness = finder.FindFirst(head_query);
+      if (witness.has_value()) {
+        RecordSuppressed(trigger.tgd_index,
+                         std::vector<AtomId>(trigger.matched.begin(),
+                                             trigger.matched.end()),
+                         std::vector<Binding>(trigger.bindings.begin(),
+                                              trigger.bindings.end()),
+                         witness->matched);
+        continue;
+      }
+      KBREPAIR_RETURN_IF_ERROR(FireTrigger(
+          trigger.tgd_index, trigger.matched.ptr, trigger.matched.len,
+          trigger.bindings.ptr, trigger.bindings.len, &next));
     }
 
-    exec.ResetArenas();
+    scratch.Reset();
     wave.swap(next);
   }
   return Status::Ok();

@@ -315,10 +315,8 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     return Status::Ok();
   }
   if (cmd == "diff") {
-    TimelineOptions options;
-    options.checkpoint_every = 0;
     KBREPAIR_ASSIGN_OR_RETURN(EngineDivergence divergence,
-                              DiffEngines(timeline_->recorded(), options));
+                              DiffEngines(timeline_->recorded()));
     if (!divergence.diverged) {
       *out_ << "no divergence: both engines replay the recording\n";
       return Status::Ok();

@@ -63,10 +63,6 @@ StatusOr<SessionTimeline> SessionTimeline::Create(RecordedSession recorded,
         timeline.inquiry_options_.conflict_engine,
         EngineOverrideFromName(timeline.options_.engine_override));
   }
-  if (timeline.options_.chase_threads > 0) {
-    timeline.inquiry_options_.chase_options.num_threads =
-        timeline.options_.chase_threads;
-  }
   std::string label;
   KBREPAIR_ASSIGN_OR_RETURN(
       KnowledgeBase kb,
@@ -362,8 +358,7 @@ StatusOr<ForkBranch> SessionTimeline::Fork(size_t from_step,
   return branch;
 }
 
-StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
-                                       TimelineOptions options) {
+StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded) {
   if (recorded.create_params.Get("base").is_string()) {
     return Status::InvalidArgument(
         "recording belongs to a base-forked session; diff-engines needs the "
@@ -379,9 +374,6 @@ StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
     KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions opts,
                               InquiryOptionsFromParams(recorded.create_params));
     opts.conflict_engine = kind;
-    if (options.chase_threads > 0) {
-      opts.chase_options.num_threads = options.chase_threads;
-    }
     std::string label;
     KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
                               BuildKbFromParams(recorded.create_params,

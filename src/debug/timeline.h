@@ -51,8 +51,6 @@ struct TimelineOptions {
   // pre-warming; backward seeks then replay from step 0 or from
   // cursors parked by earlier seeks).
   size_t checkpoint_every = 8;
-  // 0 = honour the WAL's create params.
-  size_t chase_threads = 0;
 };
 
 // What the initial replay pass learned about one recorded entry.
@@ -215,10 +213,8 @@ class SessionTimeline {
 // side by side and pinpoints the first step where they disagree — with
 // each other, or with the recording itself. Unlike SessionTimeline,
 // neither side's replay needs to *succeed*: a side that stops matching
-// the recording is exactly the finding. `options.engine_override` is
-// ignored (both engines always run).
-StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
-                                       TimelineOptions options = {});
+// the recording is exactly the finding.
+StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded);
 
 }  // namespace debug
 }  // namespace kbrepair

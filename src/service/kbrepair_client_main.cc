@@ -498,10 +498,6 @@ struct ClientOptions {
   // (list-bases + metrics) balances. The oracle replays against the
   // base KB params, so byte-identity still holds.
   std::string base;
-  // Worker threads for each session's chase saturation waves. Results
-  // are byte-identical for every value (the oracle replays at the same
-  // setting anyway, to exercise the same code path).
-  size_t chase_threads = 1;
   uint64_t seed = 20180326;  // EDBT'18
   bool quiet = false;
   // Protocol channel: "stdio" (spawned daemon's pipes), "unix"
@@ -545,10 +541,6 @@ JsonValue CreateParams(const ClientOptions& options, uint64_t seed_i) {
   params.Set("strategy", JsonValue::String(options.strategy));
   params.Set("engine", JsonValue::String(options.engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed_i)));
-  if (options.chase_threads != 1) {
-    params.Set("chase_threads",
-               JsonValue::Number(static_cast<int64_t>(options.chase_threads)));
-  }
   return params;
 }
 
@@ -564,10 +556,6 @@ JsonValue OracleParams(const ClientOptions& options, uint64_t seed_i) {
   params.Set("strategy", JsonValue::String(options.strategy));
   params.Set("engine", JsonValue::String(options.engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed_i)));
-  if (options.chase_threads != 1) {
-    params.Set("chase_threads",
-               JsonValue::Number(static_cast<int64_t>(options.chase_threads)));
-  }
   return params;
 }
 
@@ -1063,7 +1051,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--server PATH] [--server-arg ARG]... [--sessions N]"
                " [--workers N] [--kb NAME] [--strategy NAME] [--engine NAME]"
-               " [--base NAME] [--chase-threads N] [--seed S]"
+               " [--base NAME] [--seed S]"
                " [--trace-dir DIR] [--http-port N]"
                " [--transport stdio|unix|tcp] [--connections N]"
                " [--connect TARGET] [--shards N] [--retry-seed S] [--quiet]\n"
@@ -1106,9 +1094,6 @@ int Main(int argc, char** argv) {
       options.engine = v;
     } else if (arg == "--base" && (v = next_value())) {
       options.base = v;
-    } else if (arg == "--chase-threads" && (v = next_value())) {
-      options.chase_threads =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
     } else if (arg == "--seed" && (v = next_value())) {
       options.seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--trace-dir" && (v = next_value())) {

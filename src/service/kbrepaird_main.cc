@@ -108,9 +108,6 @@ int Usage(const char* argv0) {
          " 'wal.fsync=1,chase.saturate' (also via KBREPAIR_FAILPOINTS)\n"
          "  [--shards N]             split the session registry into N"
          " independent shards (default 1)\n"
-         "  [--chase-threads N]      default worker threads per session"
-         " chase saturation (1-64; create params override; results are"
-         " identical for any N)\n"
          "  [--listen-unix PATH]     accept JSON-lines connections on a"
          " Unix-domain socket at PATH\n"
          "  [--listen-tcp PORT]      accept JSON-lines connections on"
@@ -244,16 +241,6 @@ int Main(int argc, char** argv) {
         std::cerr << "--shards must be >= 1\n";
         return Usage(argv[0]);
       }
-    } else if (arg == "--chase-threads") {
-      const char* v = next_value("--chase-threads");
-      if (v == nullptr) return Usage(argv[0]);
-      const size_t threads =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
-      if (threads < 1 || threads > 64) {
-        std::cerr << "--chase-threads must be in [1, 64]\n";
-        return Usage(argv[0]);
-      }
-      SetDefaultChaseThreads(threads);
     } else if (arg == "--listen-unix") {
       const char* v = next_value("--listen-unix");
       if (v == nullptr) return Usage(argv[0]);

@@ -41,10 +41,12 @@ namespace kbrepair {
 StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
                                           std::string* label);
 
-// Parses strategy/seed/two_phase/max_questions/engine/chase_threads/
+// Parses strategy/seed/two_phase/max_questions/engine/
 // record_convergence ("off" | "total" | "discovered") from `create`
 // params. record_convergence is dialogue-relevant for scratch two-phase
 // non-mcd runs, so WALs that should replay across engines record it.
+// Unknown params are ignored, so WALs written by older daemons (e.g.
+// with the removed "chase_threads") still recover.
 StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params);
 
 // Matches a WAL-recorded fix (wire JSON: atom/arg numbers plus
@@ -59,10 +61,6 @@ std::optional<size_t> MatchRecordedFixJson(const JsonValue& recorded,
                                            const Question& question,
                                            const InquiryView& view,
                                            const SymbolTable& symbols);
-
-// Sets the daemon-wide chase-thread default applied when a `create`
-// omits "chase_threads" (kbrepaird --chase-threads). Call before serving.
-void SetDefaultChaseThreads(size_t threads);
 
 class RepairSession {
  public:

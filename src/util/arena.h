@@ -7,8 +7,8 @@
 // chunks that are freed (or reset) all at once when the owning chase
 // generation ends:
 //
-//  * per-worker scratch arenas hold the trigger frontier of one wave of
-//    parallel enumeration and are Reset() between waves;
+//  * a saturation loop's scratch arena holds the pending triggers of one
+//    wave and is Reset() between waves;
 //  * a per-result arena owns every Derivation's parent list for the
 //    lifetime of the ChaseResult / IncrementalChase that minted it.
 //
@@ -16,10 +16,9 @@
 // supported (AtomId, TermId, small PODs) — nothing in the arena is ever
 // destroyed individually, so destructors would silently not run.
 //
-// Not thread-safe: one arena per owner (one per pool worker during
-// parallel enumeration). ArenaSpan is a plain {pointer, length} view —
-// valid for as long as the arena that produced it is neither Reset() nor
-// destroyed.
+// Not thread-safe: one arena per owner. ArenaSpan is a plain
+// {pointer, length} view — valid for as long as the arena that produced
+// it is neither Reset() nor destroyed.
 
 #ifndef KBREPAIR_UTIL_ARENA_H_
 #define KBREPAIR_UTIL_ARENA_H_

@@ -138,13 +138,22 @@ StatusOr<ReferenceRun> RunReference(const JsonValue& create_params,
   return run;
 }
 
+// With `legacy_chase_threads`, the crashed manager's create (hence its
+// WAL create record) also carries "chase_threads": 4, as daemons with
+// the former parallel chase wrote it. Recovery must ignore the param
+// and still reproduce the reference run, which never had it.
 void RoundTrip(const std::string& strategy, const std::string& engine,
-               size_t wal_compact_every, int64_t num_facts = 40) {
+               size_t wal_compact_every, int64_t num_facts = 40,
+               bool legacy_chase_threads = false) {
   SCOPED_TRACE("strategy=" + strategy + " engine=" + engine +
                " compact_every=" + std::to_string(wal_compact_every));
   const uint64_t seed = 20180326;
   const JsonValue create_params =
       CreateParams(seed, strategy, engine, num_facts);
+  JsonValue recorded_params = create_params;
+  if (legacy_chase_threads) {
+    recorded_params.Set("chase_threads", JsonValue::Number(int64_t{4}));
+  }
 
   StatusOr<ReferenceRun> ref = RunReference(create_params, seed, 3);
   ASSERT_TRUE(ref.ok()) << ref.status();
@@ -164,7 +173,8 @@ void RoundTrip(const std::string& strategy, const std::string& engine,
     config.wal_dir = wal_dir.path;
     config.wal_compact_every = wal_compact_every;
     SessionManager manager(config);
-    StatusOr<JsonValue> created = manager.Execute(MakeRequest(create_params));
+    StatusOr<JsonValue> created =
+        manager.Execute(MakeRequest(recorded_params));
     ASSERT_TRUE(created.ok()) << created.status();
     session = created->Get("session").AsString();
     for (size_t i = 0; i < 3; ++i) {
@@ -236,7 +246,7 @@ void RoundTrip(const std::string& strategy, const std::string& engine,
 
 TEST(CrashRecoveryTest, RandomScratch) { RoundTrip("random", "scratch", 64); }
 TEST(CrashRecoveryTest, RandomIncremental) {
-  RoundTrip("random", "incremental", 64);
+  RoundTrip("random", "incremental", 64, 40, /*legacy_chase_threads=*/true);
 }
 // The opti-* dialogues converge in ≤3 questions on the 40-fact KB, so
 // they run on a larger one that leaves room to crash mid-dialogue.

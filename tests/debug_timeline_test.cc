@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,13 +29,6 @@
 namespace kbrepair {
 namespace debug {
 namespace {
-
-size_t ChaseThreadsFromEnv() {
-  const char* env = std::getenv("KBREPAIR_CHASE_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const unsigned long long threads = std::strtoull(env, nullptr, 10);
-  return threads < 1 ? 1 : static_cast<size_t>(threads);
-}
 
 struct MatrixCase {
   uint64_t seed;
@@ -72,8 +64,9 @@ JsonValue CreateParams(const MatrixCase& c) {
   p.Set("seed", JsonValue::Number(static_cast<int64_t>(c.seed * 17 + 3)));
   // Cross-engine replay equivalence needs the recorded convergence mode.
   p.Set("record_convergence", JsonValue::String("total"));
-  p.Set("chase_threads",
-        JsonValue::Number(static_cast<int64_t>(ChaseThreadsFromEnv())));
+  // Older daemons wrote "chase_threads" into create records; replay
+  // must accept and ignore it.
+  p.Set("chase_threads", JsonValue::Number(int64_t{4}));
   return p;
 }
 

@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -69,17 +68,6 @@ class NullBijection {
   std::unordered_map<TermId, TermId> fwd_;
   std::unordered_map<TermId, TermId> rev_;
 };
-
-// The whole 208-dialogue sweep re-runs under a parallel chase when
-// KBREPAIR_CHASE_THREADS is set (CI runs it at 4 under TSan): wave
-// saturation promises byte-identical output for any thread count, so
-// every equivalence assertion below must keep holding verbatim.
-size_t ChaseThreadsFromEnv() {
-  const char* env = std::getenv("KBREPAIR_CHASE_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const unsigned long long threads = std::strtoull(env, nullptr, 10);
-  return threads < 1 ? 1 : static_cast<size_t>(threads);
-}
 
 SyntheticKbOptions KbOptions(uint64_t seed, bool with_tgds) {
   SyntheticKbOptions options;
@@ -145,7 +133,6 @@ TEST_P(DifferentialInquiry, EnginesProduceIdenticalDialogues) {
   options.two_phase = param.two_phase;
   options.seed = param.seed * 17 + 3;
   options.record_convergence = ConvergenceRecording::kTotalConflicts;
-  options.chase_options.num_threads = ChaseThreadsFromEnv();
 
   InquiryOptions incremental_options = options;
   incremental_options.conflict_engine = ConflictEngineKind::kIncremental;

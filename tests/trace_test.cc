@@ -35,6 +35,14 @@ void* operator new(size_t size) {
   return ptr;
 }
 
+// std::stable_sort's temporary buffer allocates through the nothrow
+// form; it must come from malloc too, or the free() below mismatches
+// the toolchain's own allocator.
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, size_t) noexcept { std::free(ptr); }
 
