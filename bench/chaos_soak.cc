@@ -22,11 +22,9 @@
 // replayable. The in-process composition of the same faults (runnable
 // under ASan/UBSan) lives in tests/chaos_soak_test.cc.
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -35,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -42,9 +41,8 @@
 #include <thread>
 #include <vector>
 
-#include "repair/inquiry.h"
+#include "service/daemon_client.h"
 #include "service/net/framer.h"
-#include "service/session.h"
 #include "util/json.h"
 #include "util/net.h"
 #include "util/rng.h"
@@ -72,37 +70,6 @@ std::atomic<uint64_t> g_resets{0};     // deliberate connection drops
 std::atomic<uint64_t> g_retries{0};    // retryable rejections retried
 std::atomic<uint64_t> g_reconciles{0}; // status-based answer reconciles
 std::atomic<uint64_t> g_windows{0};    // failpoint windows armed
-
-// ------------------------------------------------------------------
-// Daemon process management.
-
-pid_t SpawnDaemon(const std::vector<std::string>& args) {
-  const pid_t pid = fork();
-  if (pid != 0) return pid;
-  const int devnull = ::open("/dev/null", O_RDONLY);
-  if (devnull >= 0) {
-    dup2(devnull, STDIN_FILENO);
-    close(devnull);
-  }
-  std::vector<char*> argv;
-  for (const std::string& arg : args) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-  execv(argv[0], argv.data());
-  std::cerr << "exec " << args[0] << " failed: " << std::strerror(errno)
-            << "\n";
-  _exit(127);
-}
-
-int ReadPortFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return 0;
-  int port = 0;
-  if (std::fscanf(f, "%d", &port) != 1) port = 0;
-  std::fclose(f);
-  return port;
-}
 
 // ------------------------------------------------------------------
 // One synchronous JSON-lines connection. A single command is in
@@ -177,18 +144,17 @@ class Client {
     if (fd_ >= 0) return Status::Ok();
     // Generous budget: a restart must finish WAL replay for the whole
     // fleet before the listener accepts again.
-    for (int i = 0; i < 3000; ++i) {
-      const int port = ReadPortFile(port_file_);
-      if (port > 0) {
-        StatusOr<int> fd = net::ConnectTcp("127.0.0.1", port);
-        if (fd.ok()) {
-          fd_ = *fd;
-          return Status::Ok();
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return Status::Unavailable("daemon not reachable after 30s");
+    KBREPAIR_ASSIGN_OR_RETURN(
+        fd_, ConnectWithRetry(
+                 [&]() -> StatusOr<int> {
+                   const int port = ReadPortFile(port_file_);
+                   if (port <= 0) {
+                     return Status::Unavailable("port not published yet");
+                   }
+                   return net::ConnectTcp("127.0.0.1", port);
+                 },
+                 /*daemon=*/nullptr, /*attempts=*/3000));
+    return Status::Ok();
   }
 
   const std::string port_file_;
@@ -252,34 +218,6 @@ JsonValue CreateParams(uint64_t seed, size_t num_facts) {
   params.Set("strategy", JsonValue::String("random"));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
-}
-
-// Single-threaded oracle: the same dialogue against an in-process
-// engine; completed service dialogues must match byte-for-byte.
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed,
-                                                    size_t num_facts) {
-  const JsonValue params = CreateParams(seed, num_facts);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
 }
 
 // ------------------------------------------------------------------
@@ -386,29 +324,11 @@ void CloseAndVerify(Client& client, Driver& st, size_t num_facts) {
     return;
   }
   st.closed = true;
-  if (!closed->Get("consistent").AsBool(false)) {
-    st.failure = "closed inconsistent";
-    return;
-  }
-  StatusOr<std::vector<std::string>> oracle =
-      PlainEngineFacts(st.seed, num_facts);
-  if (!oracle.ok()) {
-    st.failure = "oracle: " + oracle.status().ToString();
-    return;
-  }
-  const JsonValue& facts = closed->Get("facts");
-  if (facts.size() != oracle->size()) {
-    st.failure = "fact count diverged: service " +
-                 std::to_string(facts.size()) + " vs oracle " +
-                 std::to_string(oracle->size());
-    return;
-  }
-  for (size_t i = 0; i < oracle->size(); ++i) {
-    if (facts.at(i).AsString() != (*oracle)[i]) {
-      st.failure = "fact " + std::to_string(i) + " diverged on " + st.session;
-      return;
-    }
-  }
+  // Completed service dialogues must match the single-threaded oracle
+  // byte for byte.
+  const Status verdict =
+      CheckAgainstOracle(*closed, CreateParams(st.seed, num_facts), st.seed);
+  if (!verdict.ok()) st.failure = verdict.ToString() + " on " + st.session;
 }
 
 // ------------------------------------------------------------------
@@ -440,35 +360,6 @@ void ChaosLoop(const std::string& port_file, uint64_t seed,
     std::this_thread::sleep_for(
         std::chrono::milliseconds(1 + rng.UniformIndex(9)));
   }
-}
-
-// ------------------------------------------------------------------
-// HTTP /readyz scrape via the daemon's published HTTP port.
-
-StatusOr<std::string> HttpGet(int port, const std::string& path) {
-  KBREPAIR_ASSIGN_OR_RETURN(int fd, net::ConnectTcp("127.0.0.1", port));
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: localhost\r\n"
-                              "Connection: close\r\n\r\n";
-  for (size_t off = 0; off < request.size();) {
-    const ssize_t n = ::write(fd, request.data() + off, request.size() - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return Status::Unavailable("http write failed");
-    }
-    off += static_cast<size_t>(n);
-  }
-  std::string body;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    body.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return body;
 }
 
 // ------------------------------------------------------------------
@@ -512,20 +403,18 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
     };
     return args;
   };
-  pid_t daemon = SpawnDaemon(daemon_args(/*recover=*/false));
-  if (daemon < 0) return Status::Internal("fork failed");
-  const auto kill_daemon = [&](int sig) {
-    if (daemon > 0) {
-      ::kill(daemon, sig);
-      int wstatus = 0;
-      ::waitpid(daemon, &wstatus, 0);
-    }
-  };
+  DaemonProcess daemon;
+  if (!daemon.Start(daemon_args(/*recover=*/false),
+                    DaemonProcess::Stdio::kDetached)) {
+    return Status::Internal("fork failed");
+  }
   const auto cleanup = [&] {
     if (options.keep_wal_dir.empty()) {
-      const std::string cmd = "rm -rf '" + wal_dir + "'";
-      if (std::system(cmd.c_str()) != 0) {
-        std::cerr << "warning: cleanup of " << wal_dir << " failed\n";
+      std::error_code ec;
+      std::filesystem::remove_all(wal_dir, ec);
+      if (ec) {
+        std::cerr << "warning: cleanup of " << wal_dir
+                  << " failed: " << ec.message() << "\n";
       }
     }
     ::unlink(port_file.c_str());
@@ -549,7 +438,7 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
       StatusOr<JsonValue> created = CallIdempotent(
           client, CreateParams(st.seed, options.num_facts));
       if (!created.ok()) {
-        kill_daemon(SIGKILL);
+        daemon.Kill9();
         cleanup();
         return Status::Internal("create: " + created.status().ToString());
       }
@@ -578,7 +467,7 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
   chaos.join();
   for (const Driver& st : fleet) {
     if (!st.failure.empty()) {
-      kill_daemon(SIGKILL);
+      daemon.Kill9();
       cleanup();
       return Status::Internal("phase A " + st.session + ": " + st.failure);
     }
@@ -586,17 +475,13 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
 
   // The crash: no warning, no flush — recovery must rebuild every
   // still-open session from its WAL alone.
-  ::kill(daemon, SIGKILL);
-  {
-    int wstatus = 0;
-    ::waitpid(daemon, &wstatus, 0);
-  }
+  daemon.Kill9();
   // Truncate the port file so drivers cannot reconnect to the dead
   // listener's port before the new daemon publishes its own.
   if (FILE* f = std::fopen(port_file.c_str(), "w")) std::fclose(f);
   if (FILE* f = std::fopen(http_file.c_str(), "w")) std::fclose(f);
-  daemon = SpawnDaemon(daemon_args(/*recover=*/true));
-  if (daemon < 0) {
+  if (!daemon.Start(daemon_args(/*recover=*/true),
+                    DaemonProcess::Stdio::kDetached)) {
     cleanup();
     return Status::Internal("respawn fork failed");
   }
@@ -637,7 +522,7 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
   chaos_b.join();
   for (const Driver& st : fleet) {
     if (!st.failure.empty()) {
-      kill_daemon(SIGKILL);
+      daemon.Kill9();
       cleanup();
       return Status::Internal("phase B " + st.session + ": " + st.failure);
     }
@@ -675,20 +560,21 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
         }
         const int http_port = ReadPortFile(http_file);
         if (http_port <= 0) return Status::Internal("no http port published");
-        KBREPAIR_ASSIGN_OR_RETURN(std::string readyz,
-                                  HttpGet(http_port, "/readyz"));
+        KBREPAIR_ASSIGN_OR_RETURN(HttpResponse readyz,
+                                  HttpGet("127.0.0.1", http_port, "/readyz"));
         // The level-based causes must have cleared with the faults. The
         // 30s `recent-*` hold-down causes may legitimately linger (the
         // last injected fsync failure was moments ago), so a 503 carrying
         // only those is correct degraded-mode reporting, not a failure.
-        if (readyz.find("wal-disk-degraded") != std::string::npos ||
-            readyz.find("memory-pressure") != std::string::npos) {
+        if (readyz.body.find("wal-disk-degraded") != std::string::npos ||
+            readyz.body.find("memory-pressure") != std::string::npos) {
           return Status::Internal("readyz still degraded at round end: " +
-                                  readyz);
+                                  readyz.body);
         }
-        if (readyz.find(" 200 ") == std::string::npos &&
-            readyz.find("recent-") == std::string::npos) {
-          return Status::Internal("readyz not ready at round end: " + readyz);
+        if (readyz.status != 200 &&
+            readyz.body.find("recent-") == std::string::npos) {
+          return Status::Internal("readyz not ready at round end: " +
+                                  readyz.body);
         }
         return Status::Ok();
       }();
@@ -697,11 +583,7 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
     return last;
   }();
 
-  ::kill(daemon, SIGTERM);
-  int wstatus = 0;
-  const bool clean = ::waitpid(daemon, &wstatus, 0) == daemon &&
-                     WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
-  daemon = -1;
+  const bool clean = daemon.Terminate() == 0;
   cleanup();
   if (!verdict.ok()) return verdict;
   if (!clean) return Status::Internal("daemon did not exit cleanly");

@@ -73,16 +73,6 @@ double ResidentKb() {
          static_cast<double>(::sysconf(_SC_PAGESIZE)) / 1024.0;
 }
 
-ServiceRequest MakeRequest(const JsonValue& params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  if (params.Get("session").is_string()) {
-    request.session_id = params.Get("session").AsString();
-  }
-  request.params = params;
-  return request;
-}
-
 // The KB every session opens: one deterministic inconsistent synthetic
 // KB, sized by the ladder.
 void SetKbSource(JsonValue* params, size_t num_facts) {
@@ -108,7 +98,8 @@ int RunModeChild(int out_fd, size_t sessions, size_t num_facts,
     reg.Set("command", JsonValue::String("register-base"));
     reg.Set("name", JsonValue::String("bench-base"));
     SetKbSource(&reg, num_facts);
-    StatusOr<JsonValue> registered = manager.Execute(MakeRequest(reg));
+    StatusOr<JsonValue> registered =
+        manager.Execute(ParseRequest(reg).value());
     KBREPAIR_CHECK(registered.ok()) << registered.status();
   }
 
@@ -127,7 +118,8 @@ int RunModeChild(int out_fd, size_t sessions, size_t num_facts,
       SetKbSource(&create, num_facts);
     }
     WallTimer timer;
-    StatusOr<JsonValue> created = manager.Execute(MakeRequest(create));
+    StatusOr<JsonValue> created =
+        manager.Execute(ParseRequest(create).value());
     delays.Add(timer.ElapsedMillis());
     KBREPAIR_CHECK(created.ok()) << created.status();
   }

@@ -19,16 +19,13 @@
 // configuration sustains 10k concurrent sessions against a 4-shard
 // daemon.
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -38,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/metrics.h"
 #include "service/net/framer.h"
 #include "util/json.h"
@@ -60,58 +58,6 @@ struct LoadOptions {
   std::string label;  // config name in the emitted ladder
   bool quick = false;
 };
-
-// ------------------------------------------------------------------
-// Daemon process (socket mode, SIGTERM to stop).
-
-pid_t SpawnDaemon(const std::vector<std::string>& args) {
-  const pid_t pid = fork();
-  if (pid != 0) return pid;
-  const int devnull = ::open("/dev/null", O_RDONLY);
-  if (devnull >= 0) {
-    dup2(devnull, STDIN_FILENO);
-    close(devnull);
-  }
-  std::vector<char*> argv;
-  for (const std::string& arg : args) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-  execv(argv[0], argv.data());
-  std::cerr << "exec " << args[0] << " failed: " << std::strerror(errno)
-            << "\n";
-  _exit(127);
-}
-
-StatusOr<int> ConnectWithRetry(const std::string& transport,
-                               const std::string& unix_path,
-                               const std::string& port_file, pid_t daemon) {
-  Status last = Status::Unavailable("never attempted");
-  for (int i = 0; i < 1000; ++i) {
-    StatusOr<int> fd = Status::Unavailable("pending");
-    if (transport == "unix") {
-      fd = net::ConnectUnix(unix_path);
-    } else {
-      FILE* f = std::fopen(port_file.c_str(), "r");
-      int port = 0;
-      if (f != nullptr) {
-        if (std::fscanf(f, "%d", &port) != 1) port = 0;
-        std::fclose(f);
-      }
-      fd = port > 0 ? net::ConnectTcp("127.0.0.1", port)
-                    : StatusOr<int>(
-                          Status::Unavailable("port not published yet"));
-    }
-    if (fd.ok()) return fd;
-    last = fd.status();
-    int wstatus = 0;
-    if (daemon > 0 && ::waitpid(daemon, &wstatus, WNOHANG) == daemon) {
-      return Status::Internal("daemon exited before accepting connections");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return last;
-}
 
 // ------------------------------------------------------------------
 // One driver thread: a partition of sessions pipelined over one
@@ -396,16 +342,23 @@ Status RunOnce(const LoadOptions& options, const std::string& engine,
     args.insert(args.end(),
                 {"--listen-tcp", "0", "--listen-tcp-port-file", port_tmpl});
   }
-  const pid_t daemon = SpawnDaemon(args);
-  if (daemon < 0) return Status::Internal("fork failed");
+  DaemonProcess daemon;  // SIGKILLed on an early return
+  if (!daemon.Start(args, DaemonProcess::Stdio::kDetached)) {
+    return Status::Internal("fork failed");
+  }
 
   std::vector<int> fds;
   for (size_t i = 0; i < options.connections; ++i) {
-    StatusOr<int> fd =
-        ConnectWithRetry(options.transport, sock_tmpl, port_tmpl, daemon);
+    StatusOr<int> fd = ConnectWithRetry(
+        [&]() -> StatusOr<int> {
+          if (options.transport == "unix") return net::ConnectUnix(sock_tmpl);
+          const int port = ReadPortFile(port_tmpl);
+          if (port <= 0) return Status::Unavailable("port not published yet");
+          return net::ConnectTcp("127.0.0.1", port);
+        },
+        &daemon);
     if (!fd.ok()) {
       for (const int open_fd : fds) ::close(open_fd);
-      ::kill(daemon, SIGKILL);
       return fd.status();
     }
     fds.push_back(*fd);
@@ -446,51 +399,33 @@ Status RunOnce(const LoadOptions& options, const std::string& engine,
   }
 
   // Ledger check on the first connection: every session opened was
-  // closed, none leaked.
+  // closed, none leaked. The drivers are done, so nothing is in flight.
   if (failure.ok()) {
-    const std::string metrics_line =
-        "{\"id\":\"final\",\"command\":\"metrics\"}\n";
-    failure = [&]() -> Status {
-      for (size_t off = 0; off < metrics_line.size();) {
-        const ssize_t n = ::write(fds[0], metrics_line.data() + off,
-                                  metrics_line.size() - off);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) return Status::Unavailable("metrics write failed");
-        off += static_cast<size_t>(n);
-      }
-      net::LineFramer framer(1 << 20);
-      std::vector<std::string> lines;
-      char chunk[1 << 16];
-      while (lines.empty()) {
-        const ssize_t n = ::read(fds[0], chunk, sizeof chunk);
-        if (n <= 0) return Status::Unavailable("metrics read failed");
-        if (!framer.Feed(chunk, static_cast<size_t>(n), &lines)) {
-          return Status::Internal("oversized metrics line");
-        }
-      }
-      KBREPAIR_ASSIGN_OR_RETURN(JsonValue response,
-                                JsonValue::Parse(lines[0]));
-      const JsonValue& sessions = response.Get("result").Get("sessions");
+    ServerConnection ledger(fds[0]);
+    fds.erase(fds.begin());
+    JsonValue request = JsonValue::Object();
+    request.Set("command", JsonValue::String("metrics"));
+    StatusOr<JsonValue> metrics = ledger.Call(std::move(request));
+    if (!metrics.ok()) {
+      failure = metrics.status();
+    } else {
+      const JsonValue& sessions = metrics->Get("sessions");
       const int64_t opened = sessions.Get("opened").AsInt(-1);
       const int64_t active = sessions.Get("active").AsInt(-1);
       if (opened != static_cast<int64_t>(options.sessions) || active != 0) {
-        return Status::Internal(
+        failure = Status::Internal(
             "session ledger imbalance: opened=" + std::to_string(opened) +
             " active=" + std::to_string(active) + " expected " +
             std::to_string(options.sessions) + "/0");
       }
-      return Status::Ok();
-    }();
+    }
   }
 
   for (const int fd : fds) {
     ::shutdown(fd, SHUT_WR);
     ::close(fd);
   }
-  ::kill(daemon, SIGTERM);
-  int wstatus = 0;
-  const bool clean = ::waitpid(daemon, &wstatus, 0) == daemon &&
-                     WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
+  const bool clean = daemon.Terminate() == 0;
   ::unlink(sock_tmpl);
   ::unlink(port_tmpl);
   if (!failure.ok()) return failure;

@@ -2,8 +2,7 @@
 
 namespace kbrepair {
 
-StatusOr<ServiceRequest> ParseRequestLine(const std::string& line) {
-  KBREPAIR_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
+StatusOr<ServiceRequest> ParseRequest(JsonValue json) {
   if (!json.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
@@ -17,6 +16,11 @@ StatusOr<ServiceRequest> ParseRequestLine(const std::string& line) {
   request.session_id = json.Get("session").AsString();
   request.params = std::move(json);
   return request;
+}
+
+StatusOr<ServiceRequest> ParseRequestLine(const std::string& line) {
+  KBREPAIR_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
+  return ParseRequest(std::move(json));
 }
 
 namespace {

@@ -39,8 +39,12 @@ struct ServiceRequest {
   std::string assigned_session_id;
 };
 
-// Parses one wire line. InvalidArgument on malformed JSON, a non-object
-// document, or a missing/non-string "command".
+// Builds a request from a parsed document. InvalidArgument on a
+// non-object document or a missing/non-string "command".
+StatusOr<ServiceRequest> ParseRequest(JsonValue json);
+
+// Parses one wire line: JSON parse (InvalidArgument on malformed JSON),
+// then ParseRequest.
 StatusOr<ServiceRequest> ParseRequestLine(const std::string& line);
 
 // Builds the one-line response envelopes.

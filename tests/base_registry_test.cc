@@ -25,6 +25,7 @@
 #include "service/session_manager.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
@@ -45,18 +46,6 @@ size_t SweepAll(BaseRegistry& registry) {
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   return registry.SweepExpired(1e-6);
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_basereg_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 TEST(BaseRegistryTest, RegisterAcquireReleaseLifecycle) {
   auto registry = std::make_shared<BaseRegistry>();
@@ -303,14 +292,6 @@ TEST(BaseRegistryLogTest, HashMismatchIsDroppedNotFatal) {
 }
 
 // --- Manager integration: sessions hold handles ---------------------------
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
 
 TEST(BaseRegistryManagerTest, SessionsProtectTheirBaseUntilClosed) {
   ServiceConfig config;

@@ -33,44 +33,22 @@
 #include <thread>
 #include <vector>
 
-#include "repair/inquiry.h"
-#include "service/session.h"
+#include "service/daemon_client.h"
 #include "service/sharded_manager.h"
 #include "service/wal.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
 
 JsonValue CreateParams(uint64_t seed) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(int64_t{30}));
+  JsonValue params = SyntheticCreate(seed);
   params.Set("num_cdds", JsonValue::Number(int64_t{4}));
-  params.Set("strategy", JsonValue::String("random"));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
 }
 
 JsonValue GetMetrics(ShardedSessionManager& manager) {
@@ -79,31 +57,6 @@ JsonValue GetMetrics(ShardedSessionManager& manager) {
   StatusOr<JsonValue> metrics = manager.Execute(MakeRequest(std::move(params)));
   EXPECT_TRUE(metrics.ok()) << metrics.status();
   return metrics.ok() ? *metrics : JsonValue::Object();
-}
-
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed) {
-  const JsonValue params = CreateParams(seed);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
 }
 
 // True for the status codes the retry contract promises were never
@@ -135,18 +88,6 @@ StatusOr<JsonValue> ExecuteWithRetry(ShardedSessionManager& manager,
   }
   return last;
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_chaos_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 class ChaosSoakTest : public ::testing::Test {
  protected:
@@ -238,8 +179,7 @@ TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
   // exhausts itself — exactly one append is hit, which pins the fault
   // to session A's shard.
   failpoint::Arm("fs.enospc", 0, 1);
-  ServiceRequest answer = SessionCommand("answer", on_a);
-  answer.params.Set("choice", JsonValue::Number(int64_t{0}));
+  ServiceRequest answer = AnswerCommand(on_a, 0);
   StatusOr<JsonValue> rejected = manager.Execute(std::move(answer));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
@@ -260,16 +200,14 @@ TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
   // While degraded: answers on shard A shed at admission; the other
   // shard and the read path keep serving.
   if (shard_a.WalDegraded()) {
-    ServiceRequest again = SessionCommand("answer", on_a);
-    again.params.Set("choice", JsonValue::Number(int64_t{0}));
+    ServiceRequest again = AnswerCommand(on_a, 0);
     StatusOr<JsonValue> shed = manager.Execute(std::move(again));
     if (!shed.ok()) {
       EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
     }
   }
   EXPECT_TRUE(manager.Execute(SessionCommand("status", on_a)).ok());
-  ServiceRequest answer_b = SessionCommand("answer", on_b);
-  answer_b.params.Set("choice", JsonValue::Number(int64_t{0}));
+  ServiceRequest answer_b = AnswerCommand(on_b, 0);
   EXPECT_TRUE(manager.Execute(std::move(answer_b)).ok());
 
   // The failpoint is exhausted, so the reaper's next write probe
@@ -287,8 +225,7 @@ TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
 
   // The rejected answer was never applied: the dialogue continues and
   // the retried answer succeeds exactly once.
-  ServiceRequest retried = SessionCommand("answer", on_a);
-  retried.params.Set("choice", JsonValue::Number(int64_t{0}));
+  ServiceRequest retried = AnswerCommand(on_a, 0);
   EXPECT_TRUE(manager.Execute(std::move(retried)).ok());
 
   const JsonValue metrics = GetMetrics(manager);
@@ -430,10 +367,9 @@ void DriveSome(ShardedSessionManager& manager, DriverState& st,
       st.failure = "question with no fixes";
       return;
     }
-    ServiceRequest answer = SessionCommand("answer", st.session);
-    answer.params.Set(
-        "choice", JsonValue::Number(static_cast<int64_t>(st.rng.UniformIndex(
-                      static_cast<size_t>(num_fixes)))));
+    const int64_t choice = static_cast<int64_t>(
+        st.rng.UniformIndex(static_cast<size_t>(num_fixes)));
+    ServiceRequest answer = AnswerCommand(st.session, choice);
     StatusOr<JsonValue> answered = ExecuteWithRetry(manager, answer);
     if (!answered.ok()) {
       st.failure = "answer: " + answered.status().ToString();
@@ -452,28 +388,9 @@ void CloseAndVerify(ShardedSessionManager& manager, DriverState& st) {
     return;
   }
   st.closed = true;
-  if (!closed->Get("consistent").AsBool(false)) {
-    st.failure = "closed inconsistent";
-    return;
-  }
-  StatusOr<std::vector<std::string>> oracle = PlainEngineFacts(st.seed);
-  if (!oracle.ok()) {
-    st.failure = "oracle: " + oracle.status().ToString();
-    return;
-  }
-  const JsonValue& facts = closed->Get("facts");
-  if (facts.size() != oracle->size()) {
-    st.failure = "fact count diverged: service " +
-                 std::to_string(facts.size()) + " vs oracle " +
-                 std::to_string(oracle->size());
-    return;
-  }
-  for (size_t i = 0; i < oracle->size(); ++i) {
-    if (facts.at(i).AsString() != (*oracle)[i]) {
-      st.failure = "fact " + std::to_string(i) + " diverged";
-      return;
-    }
-  }
+  const Status verdict =
+      CheckAgainstOracle(*closed, CreateParams(st.seed), st.seed);
+  if (!verdict.ok()) st.failure = verdict.ToString();
 }
 
 void RunSoakRound(uint64_t seed) {
@@ -620,8 +537,7 @@ TEST_F(ChaosSoakTest, BitRotIsQuarantinedOnRecoveryNotReplayed) {
           manager.Execute(SessionCommand("ask", id));
       ASSERT_TRUE(asked.ok());
       if (!asked->Get("done").AsBool(false)) {
-        ServiceRequest answer = SessionCommand("answer", id);
-        answer.params.Set("choice", JsonValue::Number(int64_t{0}));
+        ServiceRequest answer = AnswerCommand(id, 0);
         ASSERT_TRUE(manager.Execute(std::move(answer)).ok());
       }
       ids.push_back(id);

@@ -22,75 +22,15 @@
 #include <string>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/session_manager.h"
 #include "service/wal.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
-
-JsonValue CreateParams(uint64_t seed, const std::string& strategy,
-                       const std::string& engine, int64_t num_facts = 40) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(num_facts));
-  params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
-}
-
-ServiceRequest AnswerCommand(const std::string& session, int64_t choice) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("answer"));
-  params.Set("session", JsonValue::String(session));
-  params.Set("choice", JsonValue::Number(choice));
-  return MakeRequest(std::move(params));
-}
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_recovery_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    // Best-effort cleanup of anything the tests left behind.
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
-
-// The deterministic part of a close response: everything except the
-// wall-clock timing fields, which legitimately differ between runs.
-std::string CloseFingerprint(const JsonValue& closed) {
-  JsonValue out = JsonValue::Object();
-  out.Set("session", closed.Get("session"));
-  out.Set("consistent", closed.Get("consistent"));
-  out.Set("questions", closed.Get("questions"));
-  out.Set("applied_fixes", closed.Get("applied_fixes"));
-  out.Set("facts", closed.Get("facts"));
-  return out.Dump();
-}
 
 // Drives an uninterrupted reference session to completion, returning
 // the full choice sequence plus the snapshot dump after `split` answers
@@ -149,7 +89,7 @@ void RoundTrip(const std::string& strategy, const std::string& engine,
                " compact_every=" + std::to_string(wal_compact_every));
   const uint64_t seed = 20180326;
   const JsonValue create_params =
-      CreateParams(seed, strategy, engine, num_facts);
+      SyntheticCreate(seed, num_facts, strategy, engine);
   JsonValue recorded_params = create_params;
   if (legacy_chase_threads) {
     recorded_params.Set("chase_threads", JsonValue::Number(int64_t{4}));
@@ -288,7 +228,7 @@ TEST(CrashRecoveryTest, CorruptWalIsQuarantinedNotFatal) {
   EXPECT_EQ(::stat((wal_dir.path + "/s-9.wal.corrupt").c_str(), &st), 0);
   // And fresh sessions still allocate ids past the quarantined one.
   StatusOr<JsonValue> created = manager.Execute(
-      MakeRequest(CreateParams(7, "random", "scratch")));
+      MakeRequest(SyntheticCreate(7, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_EQ(created->Get("session").AsString(), "s-10");
 }
@@ -301,7 +241,7 @@ TEST(CrashRecoveryTest, ClosedWalIsDroppedOnRecovery) {
     config.wal_dir = wal_dir.path;
     SessionManager manager(config);
     StatusOr<JsonValue> created = manager.Execute(
-        MakeRequest(CreateParams(11, "random", "scratch")));
+        MakeRequest(SyntheticCreate(11, 40)));
     ASSERT_TRUE(created.ok()) << created.status();
     session = created->Get("session").AsString();
     // Interrupt the close *after* its WAL record: simulate by writing
@@ -325,109 +265,9 @@ TEST(CrashRecoveryTest, ClosedWalIsDroppedOnRecovery) {
 // ------------------------------------------------------------------
 // Daemon-level: the real binary, a real SIGKILL, a real restart.
 
-class DaemonHandle {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    int to_child[2];
-    int from_child[2];
-    if (pipe(to_child) != 0 || pipe(from_child) != 0) return false;
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      dup2(to_child[0], STDIN_FILENO);
-      dup2(from_child[1], STDOUT_FILENO);
-      close(to_child[0]);
-      close(to_child[1]);
-      close(from_child[0]);
-      close(from_child[1]);
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    close(to_child[0]);
-    close(from_child[1]);
-    write_fd_ = to_child[1];
-    read_fd_ = from_child[0];
-    return true;
-  }
-
-  // One synchronous request/response exchange.
-  StatusOr<JsonValue> Call(JsonValue request) {
-    const std::string id = "r-" + std::to_string(++next_id_);
-    request.Set("id", JsonValue::String(id));
-    const std::string line = request.Dump() + "\n";
-    size_t off = 0;
-    while (off < line.size()) {
-      const ssize_t n =
-          ::write(write_fd_, line.data() + off, line.size() - off);
-      if (n <= 0) return Status::Unavailable("daemon pipe closed");
-      off += static_cast<size_t>(n);
-    }
-    for (;;) {
-      size_t pos;
-      while ((pos = buffer_.find('\n')) != std::string::npos) {
-        const std::string response_line = buffer_.substr(0, pos);
-        buffer_.erase(0, pos + 1);
-        StatusOr<JsonValue> parsed = JsonValue::Parse(response_line);
-        if (!parsed.ok() || parsed->Get("id").AsString() != id) continue;
-        if (!parsed->Get("ok").AsBool(false)) {
-          return Status::Internal(
-              "daemon error: " +
-              parsed->Get("error").Get("message").AsString());
-        }
-        return parsed->Get("result");
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(read_fd_, chunk, sizeof chunk);
-      if (n <= 0) return Status::Unavailable("daemon hung up");
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  void Kill9() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    CloseFds();
-  }
-
-  int ShutdownAndWait() {
-    CloseFds();
-    if (pid_ <= 0) return -1;
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~DaemonHandle() {
-    if (pid_ > 0) Kill9();
-  }
-
- private:
-  void CloseFds() {
-    if (write_fd_ >= 0) ::close(write_fd_);
-    if (read_fd_ >= 0) ::close(read_fd_);
-    write_fd_ = read_fd_ = -1;
-    buffer_.clear();
-  }
-
-  pid_t pid_ = -1;
-  int write_fd_ = -1;
-  int read_fd_ = -1;
-  uint64_t next_id_ = 0;
-  std::string buffer_;
-};
-
 TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
   const uint64_t seed = 424242;
-  const JsonValue create_params = CreateParams(seed, "random", "scratch");
+  const JsonValue create_params = SyntheticCreate(seed, 40);
 
   StatusOr<ReferenceRun> ref = RunReference(create_params, seed, 2);
   ASSERT_TRUE(ref.ok()) << ref.status();
@@ -436,41 +276,46 @@ TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
   }
 
   TempDir wal_dir;
-  DaemonHandle daemon;
+  DaemonProcess daemon;
   ASSERT_TRUE(daemon.Start(
-      {KBREPAIRD_PATH, "--workers", "2", "--wal-dir", wal_dir.path}));
+      {KBREPAIRD_PATH, "--workers", "2", "--wal-dir", wal_dir.path},
+      DaemonProcess::Stdio::kPiped));
+  ServerConnection conn(daemon);
 
   JsonValue create = create_params;
-  StatusOr<JsonValue> created = daemon.Call(std::move(create));
+  StatusOr<JsonValue> created = conn.Call(std::move(create));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
   for (size_t i = 0; i < 2; ++i) {
     StatusOr<JsonValue> asked =
-        daemon.Call(SessionCommand("ask", session).params);
+        conn.Call(SessionCommand("ask", session).params);
     ASSERT_TRUE(asked.ok()) << asked.status();
     ASSERT_TRUE(
-        daemon.Call(AnswerCommand(session, ref->choices[i]).params).ok());
+        conn.Call(AnswerCommand(session, ref->choices[i]).params).ok());
   }
 
   daemon.Kill9();  // no drain, no flush — a genuine crash
 
-  DaemonHandle revived;
+  DaemonProcess revived;
   ASSERT_TRUE(revived.Start(
-      {KBREPAIRD_PATH, "--workers", "2", "--recover-dir", wal_dir.path}));
+      {KBREPAIRD_PATH, "--workers", "2", "--recover-dir", wal_dir.path},
+      DaemonProcess::Stdio::kPiped));
+  ServerConnection revived_conn(revived);
   StatusOr<JsonValue> snap =
-      revived.Call(SessionCommand("snapshot", session).params);
+      revived_conn.Call(SessionCommand("snapshot", session).params);
   ASSERT_TRUE(snap.ok()) << snap.status();
   EXPECT_EQ(snap->Dump(), ref->mid_snapshot);
 
   size_t next_choice = 2;
   for (;;) {
     StatusOr<JsonValue> asked =
-        revived.Call(SessionCommand("ask", session).params);
+        revived_conn.Call(SessionCommand("ask", session).params);
     ASSERT_TRUE(asked.ok()) << asked.status();
     if (asked->Get("done").AsBool(false)) break;
     ASSERT_LT(next_choice, ref->choices.size());
     ASSERT_TRUE(
-        revived.Call(AnswerCommand(session, ref->choices[next_choice]).params)
+        revived_conn
+            .Call(AnswerCommand(session, ref->choices[next_choice]).params)
             .ok());
     ++next_choice;
   }
@@ -479,11 +324,16 @@ TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
   close.Set("command", JsonValue::String("close"));
   close.Set("session", JsonValue::String(session));
   close.Set("include_facts", JsonValue::Bool(true));
-  StatusOr<JsonValue> closed = revived.Call(std::move(close));
+  StatusOr<JsonValue> closed = revived_conn.Call(std::move(close));
   ASSERT_TRUE(closed.ok()) << closed.status();
   EXPECT_EQ(CloseFingerprint(*closed), ref->close_output)
       << "post-crash repair diverged from the uninterrupted run";
-  EXPECT_EQ(revived.ShutdownAndWait(), 0);
+  // Call retries never-executed codes; here every command must succeed
+  // on its first attempt, before and after the crash.
+  EXPECT_EQ(conn.retries(), 0u);
+  EXPECT_EQ(revived_conn.retries(), 0u);
+  revived_conn.Shutdown();
+  EXPECT_EQ(revived.CloseAndWait(), 0);
 }
 #endif  // KBREPAIRD_PATH
 

@@ -27,45 +27,10 @@
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/json.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
-
-JsonValue CreateParams(uint64_t seed, const std::string& engine) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(int64_t{40}));
-  params.Set("strategy", JsonValue::String("random"));
-  params.Set("engine", JsonValue::String(engine));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
-}
-
-ServiceRequest AnswerCommand(const std::string& session, int64_t choice) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("answer"));
-  params.Set("session", JsonValue::String(session));
-  params.Set("choice", JsonValue::Number(choice));
-  return MakeRequest(std::move(params));
-}
 
 JsonValue GetMetrics(SessionManager& manager) {
   JsonValue params = JsonValue::Object();
@@ -74,18 +39,6 @@ JsonValue GetMetrics(SessionManager& manager) {
   EXPECT_TRUE(metrics.ok()) << metrics.status();
   return metrics.ok() ? *metrics : JsonValue::Object();
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_fault_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 // Failpoints are process-global; every test starts and ends clean.
 class FaultInjectionTest : public ::testing::Test {
@@ -151,7 +104,7 @@ TEST_F(FaultInjectionTest, CancelTokenExpires) {
 TEST_F(FaultInjectionTest, ChaseHonorsCancelToken) {
   // An engine built with a pre-expired token must refuse to chase,
   // surfacing DeadlineExceeded instead of burning the worker.
-  const JsonValue params = CreateParams(1, "scratch");
+  const JsonValue params = SyntheticCreate(1, 40);
   std::string label;
   StatusOr<KnowledgeBase> kb = BuildKbFromParams(params, &label);
   ASSERT_TRUE(kb.ok()) << kb.status();
@@ -190,7 +143,7 @@ TEST_F(FaultInjectionTest, TranscriptWriteFailureIsCountedNotFatal) {
   config.transcript_dir = transcripts.path;
   SessionManager manager(config);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -221,7 +174,7 @@ TEST_F(FaultInjectionTest, WalAppendFailureRejectsCreate) {
 
   failpoint::Arm("wal.append", 0, -1);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kUnavailable);
   // No session registered, no stray WAL file.
@@ -230,7 +183,7 @@ TEST_F(FaultInjectionTest, WalAppendFailureRejectsCreate) {
   // The service survives: disarm and the same create succeeds.
   failpoint::Reset();
   StatusOr<JsonValue> retried =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(retried.ok()) << retried.status();
   const JsonValue metrics = GetMetrics(manager);
   EXPECT_GE(metrics.Get("traffic").Get("rejected_commands").AsInt(0), 1);
@@ -243,7 +196,7 @@ TEST_F(FaultInjectionTest, WalFsyncFailureRejectsAnswerRetryably) {
   config.wal_dir = wal_dir.path;
   SessionManager manager(config);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -281,12 +234,12 @@ TEST_F(FaultInjectionTest, ChaseSaturationFaultIsACleanError) {
 
   failpoint::Arm("chase.saturate", 0, -1);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_FALSE(created.ok());  // error envelope, not a crash
 
   failpoint::Reset();
   StatusOr<JsonValue> retried =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(retried.ok()) << retried.status();
   const JsonValue metrics = GetMetrics(manager);
   EXPECT_GE(metrics.Get("sessions").Get("failed").AsInt(0), 1);
@@ -296,8 +249,8 @@ TEST_F(FaultInjectionTest, DeltaCorruptionDemotesToScratchMidSession) {
   ServiceConfig config;
   config.num_workers = 1;
   SessionManager manager(config);
-  StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(7, "incremental")));
+  StatusOr<JsonValue> created = manager.Execute(
+      MakeRequest(SyntheticCreate(7, 40, "random", "incremental")));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -349,7 +302,7 @@ TEST_F(FaultInjectionTest, WorkerStallIsDetectedAndDeadlined) {
   config.deadline_ms = 50;  // stall threshold 4x = 200ms
   SessionManager manager(config);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 

@@ -12,14 +12,10 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,166 +26,33 @@
 #include <thread>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/metrics.h"
 #include "service/session_manager.h"
 #include "util/failpoint.h"
 #include "util/json.h"
-#include "util/rng.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
 
-struct HttpResponse {
-  bool ok = false;  // a complete status line + head/body split was read
-  int status = 0;
-  std::string head;
-  std::string body;
-};
-
-// Sends `raw` to the exporter and reads to EOF. Deliberately tiny and
-// independent of the exporter's own parsing, so a bug can't hide on
-// both sides.
-HttpResponse SendRaw(int port, const std::string& raw) {
-  HttpResponse response;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return response;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return response;
-  }
-  size_t off = 0;
-  while (off < raw.size()) {
-    const ssize_t n = ::send(fd, raw.data() + off, raw.size() - off, 0);
-    if (n <= 0) break;
-    off += static_cast<size_t>(n);
-  }
-  std::string wire;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-    if (n <= 0) break;
-    wire.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (wire.compare(0, 9, "HTTP/1.1 ") != 0) return response;
-  response.status = std::atoi(wire.c_str() + 9);
-  const size_t split = wire.find("\r\n\r\n");
-  if (response.status == 0 || split == std::string::npos) return response;
-  response.head = wire.substr(0, split);
-  response.body = wire.substr(split + 4);
-  response.ok = true;
-  return response;
-}
-
-HttpResponse Get(int port, const std::string& path) {
-  return SendRaw(port, "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n");
-}
-
-// Line-by-line Prometheus 0.0.4 validation, mirroring what a strict
-// scraper enforces: only # HELP / # TYPE comments, metric-name charset,
-// fully-consumed numeric values, balanced label braces, no duplicate
-// series. On success fills `series` (full series key -> value).
-// Returns "" or a description of the first offending line.
-std::string ValidateExposition(const std::string& body,
-                               std::map<std::string, double>* series) {
-  if (body.empty() || body.back() != '\n') return "missing trailing newline";
-  size_t start = 0;
-  while (start < body.size()) {
-    const size_t end = body.find('\n', start);
-    const std::string line = body.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) return "blank line";
-    if (line[0] == '#') {
-      if (line.compare(0, 7, "# HELP ") != 0 &&
-          line.compare(0, 7, "# TYPE ") != 0) {
-        return "bad comment: " + line;
-      }
-      continue;
-    }
-    const size_t space = line.rfind(' ');
-    if (space == std::string::npos) return "no value: " + line;
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    char* value_end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &value_end);
-    if (value_end == value.c_str() || *value_end != '\0') {
-      return "bad value: " + line;
-    }
-    if (!series->insert({key, parsed}).second) {
-      return "duplicate series: " + key;
-    }
-    std::string name = key;
-    const size_t brace = key.find('{');
-    if (brace != std::string::npos) {
-      if (key.back() != '}') return "unbalanced labels: " + line;
-      name = key.substr(0, brace);
-    }
-    for (const char c : name) {
-      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
-          c != ':') {
-        return "bad metric name: " + line;
-      }
-    }
-  }
-  return "";
-}
-
-JsonValue CreateRequestParams(uint64_t seed) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(int64_t{30}));
-  params.Set("strategy", JsonValue::String("random"));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
+// Requests go through HttpExchange, which shares no code with the
+// exporter's own parsing, so a bug can't hide on both sides. The GETs
+// carry no Connection header: HttpExchange reads to EOF, so each one
+// also checks that the exporter closes after a response unasked.
+std::string BareGet(const std::string& path) {
+  return "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
 }
 
 // Drives one synthetic session to consistency and closes it.
 void DriveSession(SessionManager* manager, uint64_t seed) {
-  StatusOr<JsonValue> created =
-      manager->Execute(MakeRequest(CreateRequestParams(seed)));
-  ASSERT_TRUE(created.ok()) << created.status();
-  const std::string session = created->Get("session").AsString();
-  Rng rng(seed);
-  for (int turn = 0; turn < 10000; ++turn) {
-    StatusOr<JsonValue> asked =
-        manager->Execute(SessionCommand("ask", session));
-    ASSERT_TRUE(asked.ok()) << asked.status();
-    if (asked->Get("done").AsBool(false)) break;
-    const int64_t num_fixes =
-        asked->Get("question").Get("num_fixes").AsInt(0);
-    ASSERT_GT(num_fixes, 0);
-    ServiceRequest answer = SessionCommand("answer", session);
-    answer.params.Set(
-        "choice", JsonValue::Number(static_cast<int64_t>(rng.UniformIndex(
-                      static_cast<size_t>(num_fixes)))));
-    StatusOr<JsonValue> applied = manager->Execute(std::move(answer));
-    ASSERT_TRUE(applied.ok()) << applied.status();
-  }
-  StatusOr<JsonValue> closed =
-      manager->Execute(SessionCommand("close", session));
-  ASSERT_TRUE(closed.ok()) << closed.status();
+  const JsonValue create = SyntheticCreate(seed);
+  StatusOr<size_t> answered = DriveRandomDialogue(
+      [&](JsonValue params) {
+        return manager->Execute(MakeRequest(std::move(params)));
+      },
+      create, create, seed);
+  ASSERT_TRUE(answered.ok()) << answered.status();
 }
 
 class HttpExporterTest : public ::testing::Test {
@@ -228,12 +91,13 @@ TEST_F(HttpExporterTest, ConcurrentScrapesDuringLoadStayValidAndMatchJson) {
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     while (!stop.load()) {
-      const HttpResponse response = Get(port, "/metrics");
-      ASSERT_TRUE(response.ok);
-      EXPECT_EQ(response.status, 200);
-      EXPECT_NE(response.head.find("version=0.0.4"), std::string::npos);
+      const StatusOr<HttpResponse> response =
+          HttpExchange("127.0.0.1", port, BareGet("/metrics"));
+      ASSERT_TRUE(response.ok()) << response.status();
+      EXPECT_EQ(response->status, 200);
+      EXPECT_NE(response->head.find("version=0.0.4"), std::string::npos);
       std::map<std::string, double> series;
-      EXPECT_EQ(ValidateExposition(response.body, &series), "");
+      EXPECT_EQ(ParseExposition(response->body, &series), "");
       scrapes.fetch_add(1);
     }
   });
@@ -261,10 +125,11 @@ TEST_F(HttpExporterTest, ConcurrentScrapesDuringLoadStayValidAndMatchJson) {
   StatusOr<JsonValue> json = manager.Execute(MakeRequest(metrics_params));
   ASSERT_TRUE(json.ok()) << json.status();
 
-  const HttpResponse response = Get(port, "/metrics");
-  ASSERT_TRUE(response.ok);
+  const StatusOr<HttpResponse> response =
+      HttpExchange("127.0.0.1", port, BareGet("/metrics"));
+  ASSERT_TRUE(response.ok()) << response.status();
   std::map<std::string, double> series;
-  ASSERT_EQ(ValidateExposition(response.body, &series), "");
+  ASSERT_EQ(ParseExposition(response->body, &series), "");
 
   const double turn_count = series.at("kbrepair_turn_delay_seconds_count");
   EXPECT_EQ(turn_count, json->Get("turn_delay").Get("count").AsDouble(-1));
@@ -314,22 +179,31 @@ TEST_F(HttpExporterTest, HealthzStatuszAndPortFile) {
   in >> written_port;
   EXPECT_EQ(written_port, exporter->port());
 
-  const HttpResponse health = Get(exporter->port(), "/healthz");
-  ASSERT_TRUE(health.ok);
-  EXPECT_EQ(health.status, 200);
-  EXPECT_EQ(health.body, "ok\n");
+  const StatusOr<HttpResponse> health =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/healthz"));
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status, 200);
+  EXPECT_EQ(health->body, "ok\n");
+  // HttpGet's request, which asks for "Connection: close", is served too.
+  const StatusOr<HttpResponse> asked_close =
+      HttpGet("127.0.0.1", exporter->port(), "/healthz");
+  ASSERT_TRUE(asked_close.ok()) << asked_close.status();
+  EXPECT_EQ(asked_close->status, 200);
+  EXPECT_EQ(asked_close->body, "ok\n");
 
-  const HttpResponse ready = Get(exporter->port(), "/readyz");
-  ASSERT_TRUE(ready.ok);
-  EXPECT_EQ(ready.status, 200);
-  EXPECT_EQ(ready.body, "ready\n");
+  const StatusOr<HttpResponse> ready =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/readyz"));
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->status, 200);
+  EXPECT_EQ(ready->body, "ready\n");
 
-  const HttpResponse statusz = Get(exporter->port(), "/statusz");
-  ASSERT_TRUE(statusz.ok);
-  EXPECT_EQ(statusz.status, 200);
-  EXPECT_NE(statusz.head.find("application/json"), std::string::npos);
-  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz.body);
-  ASSERT_TRUE(parsed.ok()) << statusz.body;
+  const StatusOr<HttpResponse> statusz =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/statusz"));
+  ASSERT_TRUE(statusz.ok()) << statusz.status();
+  EXPECT_EQ(statusz->status, 200);
+  EXPECT_NE(statusz->head.find("application/json"), std::string::npos);
+  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz->body);
+  ASSERT_TRUE(parsed.ok()) << statusz->body;
   EXPECT_TRUE(parsed->is_object());
   EXPECT_EQ(parsed->Get("sessions_active").AsInt(-1), 0);
   EXPECT_GE(parsed->Get("uptime_s").AsDouble(-1), 0);
@@ -340,42 +214,42 @@ TEST_F(HttpExporterTest, HealthzStatuszAndPortFile) {
 }
 
 TEST_F(HttpExporterTest, ReadyzDegradesOnWalFsyncFailureWithCause) {
-  char wal_dir[] = "/tmp/kbrepair-http-wal-XXXXXX";
-  ASSERT_NE(::mkdtemp(wal_dir), nullptr);
+  TempDir wal_dir;
 
   ServiceConfig config;
   config.num_workers = 1;
-  config.wal_dir = wal_dir;
+  config.wal_dir = wal_dir.path;
   SessionManager manager(config);
   auto exporter = StartExporter(&manager);
   ASSERT_NE(exporter, nullptr);
 
-  EXPECT_EQ(Get(exporter->port(), "/readyz").status, 200);
+  const StatusOr<HttpResponse> ready_before =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/readyz"));
+  ASSERT_TRUE(ready_before.ok()) << ready_before.status();
+  EXPECT_EQ(ready_before->status, 200);
 
   failpoint::Arm("wal.fsync", /*skip=*/0, /*fail=*/1);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(7)));
+      manager.Execute(MakeRequest(SyntheticCreate(7)));
   EXPECT_FALSE(created.ok());  // durability failed -> create rejected
 
-  const HttpResponse ready = Get(exporter->port(), "/readyz");
-  ASSERT_TRUE(ready.ok);
-  EXPECT_EQ(ready.status, 503);
-  EXPECT_NE(ready.body.find("not ready"), std::string::npos);
-  EXPECT_NE(ready.body.find("recent-wal-fsync-failure"), std::string::npos);
+  const StatusOr<HttpResponse> ready =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/readyz"));
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->status, 503);
+  EXPECT_NE(ready->body.find("not ready"), std::string::npos);
+  EXPECT_NE(ready->body.find("recent-wal-fsync-failure"), std::string::npos);
   EXPECT_GE(exporter->errors_served(), 1u);
 
   // /statusz reports the same causes.
-  const HttpResponse statusz = Get(exporter->port(), "/statusz");
-  ASSERT_TRUE(statusz.ok);
-  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz.body);
+  const StatusOr<HttpResponse> statusz =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/statusz"));
+  ASSERT_TRUE(statusz.ok()) << statusz.status();
+  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz->body);
   ASSERT_TRUE(parsed.ok());
   ASSERT_GE(parsed->Get("readiness_causes").size(), 1u);
   EXPECT_EQ(parsed->Get("readiness_causes").at(0).AsString(),
             "recent-wal-fsync-failure");
-
-  std::string cleanup = "rm -rf ";
-  cleanup += wal_dir;
-  ASSERT_EQ(std::system(cleanup.c_str()), 0);
 }
 
 TEST_F(HttpExporterTest, ReadyzDegradesOnShutdown) {
@@ -385,14 +259,21 @@ TEST_F(HttpExporterTest, ReadyzDegradesOnShutdown) {
   auto exporter = StartExporter(&manager);
   ASSERT_NE(exporter, nullptr);
 
-  EXPECT_EQ(Get(exporter->port(), "/readyz").status, 200);
+  const StatusOr<HttpResponse> ready_before =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/readyz"));
+  ASSERT_TRUE(ready_before.ok()) << ready_before.status();
+  EXPECT_EQ(ready_before->status, 200);
   manager.Shutdown();
-  const HttpResponse ready = Get(exporter->port(), "/readyz");
-  ASSERT_TRUE(ready.ok);
-  EXPECT_EQ(ready.status, 503);
-  EXPECT_NE(ready.body.find("shutdown-in-progress"), std::string::npos);
+  const StatusOr<HttpResponse> ready =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/readyz"));
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->status, 503);
+  EXPECT_NE(ready->body.find("shutdown-in-progress"), std::string::npos);
   // Liveness is the exporter's own business and stays green.
-  EXPECT_EQ(Get(exporter->port(), "/healthz").status, 200);
+  const StatusOr<HttpResponse> health =
+      HttpExchange("127.0.0.1", exporter->port(), BareGet("/healthz"));
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status, 200);
 }
 
 TEST_F(HttpExporterTest, ProtocolEdgesGet400To413) {
@@ -405,33 +286,39 @@ TEST_F(HttpExporterTest, ProtocolEdgesGet400To413) {
   ASSERT_NE(exporter, nullptr);
   const int port = exporter->port();
 
-  const HttpResponse garbage = SendRaw(port, "GARBAGE\r\n\r\n");
-  ASSERT_TRUE(garbage.ok);
-  EXPECT_EQ(garbage.status, 400);
+  const StatusOr<HttpResponse> garbage =
+      HttpExchange("127.0.0.1", port, "GARBAGE\r\n\r\n");
+  ASSERT_TRUE(garbage.ok()) << garbage.status();
+  EXPECT_EQ(garbage->status, 400);
 
-  const HttpResponse bad_proto =
-      SendRaw(port, "GET /metrics SPDY/9\r\n\r\n");
-  ASSERT_TRUE(bad_proto.ok);
-  EXPECT_EQ(bad_proto.status, 400);
+  const StatusOr<HttpResponse> bad_proto =
+      HttpExchange("127.0.0.1", port, "GET /metrics SPDY/9\r\n\r\n");
+  ASSERT_TRUE(bad_proto.ok()) << bad_proto.status();
+  EXPECT_EQ(bad_proto->status, 400);
 
-  const HttpResponse post =
-      SendRaw(port, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-  ASSERT_TRUE(post.ok);
-  EXPECT_EQ(post.status, 405);
+  const StatusOr<HttpResponse> post =
+      HttpExchange("127.0.0.1", port,
+                   "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+  ASSERT_TRUE(post.ok()) << post.status();
+  EXPECT_EQ(post->status, 405);
 
-  const HttpResponse missing = Get(port, "/nope");
-  ASSERT_TRUE(missing.ok);
-  EXPECT_EQ(missing.status, 404);
+  const StatusOr<HttpResponse> missing =
+      HttpExchange("127.0.0.1", port, BareGet("/nope"));
+  ASSERT_TRUE(missing.ok()) << missing.status();
+  EXPECT_EQ(missing->status, 404);
 
-  const HttpResponse oversized = SendRaw(
-      port, "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(1024, 'x') +
-                "\r\n\r\n");
-  ASSERT_TRUE(oversized.ok);
-  EXPECT_EQ(oversized.status, 413);
+  const StatusOr<HttpResponse> oversized = HttpExchange(
+      "127.0.0.1", port,
+      "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(1024, 'x') + "\r\n\r\n");
+  ASSERT_TRUE(oversized.ok()) << oversized.status();
+  EXPECT_EQ(oversized->status, 413);
 
   EXPECT_GE(exporter->errors_served(), 5u);
   // Query strings are stripped, not 404'd.
-  EXPECT_EQ(Get(port, "/healthz?probe=1").status, 200);
+  const StatusOr<HttpResponse> probe =
+      HttpExchange("127.0.0.1", port, BareGet("/healthz?probe=1"));
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  EXPECT_EQ(probe->status, 200);
 }
 
 TEST_F(HttpExporterTest, AcceptAndWriteFailpointsDropOneScrapeEach) {
@@ -443,18 +330,21 @@ TEST_F(HttpExporterTest, AcceptAndWriteFailpointsDropOneScrapeEach) {
   const int port = exporter->port();
 
   failpoint::Arm("http.accept", /*skip=*/0, /*fail=*/1);
-  const HttpResponse dropped = Get(port, "/healthz");
-  EXPECT_FALSE(dropped.ok);  // connection closed before any response
+  const StatusOr<HttpResponse> dropped =
+      HttpExchange("127.0.0.1", port, BareGet("/healthz"));
+  EXPECT_FALSE(dropped.ok());  // connection closed before any response
   EXPECT_GE(exporter->errors_served(), 1u);
 
   failpoint::Arm("http.write", /*skip=*/0, /*fail=*/1);
-  const HttpResponse unwritten = Get(port, "/healthz");
-  EXPECT_FALSE(unwritten.ok);
+  const StatusOr<HttpResponse> unwritten =
+      HttpExchange("127.0.0.1", port, BareGet("/healthz"));
+  EXPECT_FALSE(unwritten.ok());
 
   // The exporter survives both and keeps serving.
-  const HttpResponse after = Get(port, "/healthz");
-  ASSERT_TRUE(after.ok);
-  EXPECT_EQ(after.status, 200);
+  const StatusOr<HttpResponse> after =
+      HttpExchange("127.0.0.1", port, BareGet("/healthz"));
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->status, 200);
 }
 
 }  // namespace

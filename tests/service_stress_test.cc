@@ -16,10 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "repair/inquiry.h"
-#include "service/session.h"
+#include "service/daemon_client.h"
 #include "util/json.h"
-#include "util/rng.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
@@ -28,105 +27,20 @@ constexpr size_t kSessions = 64;
 constexpr uint64_t kBaseSeed = 4000;
 
 JsonValue CreateParams(uint64_t seed) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(int64_t{30}));
+  JsonValue params = SyntheticCreate(seed);
   params.Set("num_cdds", JsonValue::Number(int64_t{4}));
-  params.Set("strategy", JsonValue::String("random"));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
-}
-
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed) {
-  const JsonValue params = CreateParams(seed);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
 }
 
 // Drives one full scripted session and compares against the oracle.
 Status DriveAndVerify(SessionManager& manager, uint64_t seed) {
-  KBREPAIR_ASSIGN_OR_RETURN(JsonValue created,
-                            manager.Execute(MakeRequest(CreateParams(seed))));
-  const std::string session = created.Get("session").AsString();
-  if (session.empty()) return Status::Internal("no session id");
-
-  Rng rng(seed);
-  size_t guard = 0;
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(
-        JsonValue asked, manager.Execute(SessionCommand("ask", session)));
-    if (asked.Get("done").AsBool(false)) break;
-    const int64_t num_fixes = asked.Get("question").Get("num_fixes").AsInt(0);
-    if (num_fixes <= 0) return Status::Internal("question with no fixes");
-    ServiceRequest answer = SessionCommand("answer", session);
-    answer.params.Set(
-        "choice", JsonValue::Number(static_cast<int64_t>(rng.UniformIndex(
-                      static_cast<size_t>(num_fixes)))));
-    KBREPAIR_RETURN_IF_ERROR(manager.Execute(std::move(answer)).status());
-    if (++guard > 10000) return Status::Internal("no convergence");
-  }
-
-  ServiceRequest close = SessionCommand("close", session);
-  close.params.Set("include_facts", JsonValue::Bool(true));
-  KBREPAIR_ASSIGN_OR_RETURN(JsonValue closed,
-                            manager.Execute(std::move(close)));
-  if (!closed.Get("consistent").AsBool(false)) {
-    return Status::Internal("closed inconsistent");
-  }
-
-  KBREPAIR_ASSIGN_OR_RETURN(std::vector<std::string> oracle,
-                            PlainEngineFacts(seed));
-  const JsonValue& facts = closed.Get("facts");
-  if (facts.size() != oracle.size()) {
-    return Status::Internal("fact count diverged: service " +
-                            std::to_string(facts.size()) + " vs oracle " +
-                            std::to_string(oracle.size()));
-  }
-  for (size_t i = 0; i < oracle.size(); ++i) {
-    if (facts.at(i).AsString() != oracle[i]) {
-      return Status::Internal("fact " + std::to_string(i) +
-                              " diverged: '" + facts.at(i).AsString() +
-                              "' vs '" + oracle[i] + "'");
-    }
-  }
-  return Status::Ok();
+  const JsonValue create = CreateParams(seed);
+  return DriveRandomDialogue(
+             [&](JsonValue params) {
+               return manager.Execute(MakeRequest(std::move(params)));
+             },
+             create, create, seed)
+      .status();
 }
 
 TEST(ServiceStressTest, SixtyFourConcurrentSessionsOnFourWorkers) {

@@ -17,67 +17,14 @@
 #include <thread>
 #include <vector>
 
-#include "repair/inquiry.h"
-#include "service/session.h"
+#include "service/daemon_client.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
-
-JsonValue CreateRequestParams(uint64_t seed) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(int64_t{40}));
-  params.Set("strategy", JsonValue::String("random"));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
-}
-
-// The oracle: same KB, same options, same per-turn draw, no service.
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed) {
-  const JsonValue params = CreateRequestParams(seed);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
-}
 
 TEST(ServiceTest, LifecycleMatchesPlainEngineBitForBit) {
   constexpr uint64_t kSeed = 77;
@@ -86,7 +33,7 @@ TEST(ServiceTest, LifecycleMatchesPlainEngineBitForBit) {
   SessionManager manager(config);
 
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(kSeed)));
+      manager.Execute(MakeRequest(SyntheticCreate(kSeed, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
   ASSERT_FALSE(session.empty());
@@ -117,10 +64,9 @@ TEST(ServiceTest, LifecycleMatchesPlainEngineBitForBit) {
     const int64_t num_fixes =
         asked->Get("question").Get("num_fixes").AsInt(0);
     ASSERT_GT(num_fixes, 0);
-    ServiceRequest answer = SessionCommand("answer", session);
-    answer.params.Set(
-        "choice", JsonValue::Number(static_cast<int64_t>(rng.UniformIndex(
-                      static_cast<size_t>(num_fixes)))));
+    const int64_t choice = static_cast<int64_t>(
+        rng.UniformIndex(static_cast<size_t>(num_fixes)));
+    ServiceRequest answer = AnswerCommand(session, choice);
     StatusOr<JsonValue> applied = manager.Execute(std::move(answer));
     ASSERT_TRUE(applied.ok()) << applied.status();
     EXPECT_TRUE(applied->Get("applied").AsBool(false));
@@ -144,17 +90,11 @@ TEST(ServiceTest, LifecycleMatchesPlainEngineBitForBit) {
   close.params.Set("include_facts", JsonValue::Bool(true));
   StatusOr<JsonValue> closed = manager.Execute(std::move(close));
   ASSERT_TRUE(closed.ok()) << closed.status();
-  EXPECT_TRUE(closed->Get("consistent").AsBool(false));
   EXPECT_EQ(closed->Get("questions").AsInt(),
             static_cast<int64_t>(answered));
-
-  StatusOr<std::vector<std::string>> oracle = PlainEngineFacts(kSeed);
-  ASSERT_TRUE(oracle.ok()) << oracle.status();
-  const JsonValue& facts = closed->Get("facts");
-  ASSERT_EQ(facts.size(), oracle->size());
-  for (size_t i = 0; i < oracle->size(); ++i) {
-    EXPECT_EQ(facts.at(i).AsString(), (*oracle)[i]) << "fact " << i;
-  }
+  const Status verdict =
+      CheckAgainstOracle(*closed, SyntheticCreate(kSeed, 40), kSeed);
+  EXPECT_TRUE(verdict.ok()) << verdict;
 
   // The session is gone from the registry.
   StatusOr<JsonValue> after =
@@ -204,7 +144,7 @@ TEST(ServiceTest, ErrorPaths) {
 
   // Real session: unknown command and out-of-range answer.
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(3)));
+      manager.Execute(MakeRequest(SyntheticCreate(3, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -213,8 +153,7 @@ TEST(ServiceTest, ErrorPaths) {
   ASSERT_FALSE(nonsense.ok());
   EXPECT_EQ(nonsense.status().code(), StatusCode::kInvalidArgument);
 
-  ServiceRequest huge_choice = SessionCommand("answer", session);
-  huge_choice.params.Set("choice", JsonValue::Number(int64_t{1000000}));
+  ServiceRequest huge_choice = AnswerCommand(session, 1000000);
   StatusOr<JsonValue> out_of_range = manager.Execute(std::move(huge_choice));
   ASSERT_FALSE(out_of_range.ok());
   EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
@@ -290,7 +229,7 @@ TEST(ServiceTest, CloseFlushesTranscriptToDisk) {
   SessionManager manager(config);
 
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(13)));
+      manager.Execute(MakeRequest(SyntheticCreate(13, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -327,7 +266,7 @@ TEST(ServiceTest, IdleSessionsAreEvicted) {
   SessionManager manager(config);
 
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(5)));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -358,7 +297,7 @@ TEST(ServiceTest, ShutdownRejectsNewWork) {
   SessionManager manager(config);
   manager.Shutdown();
   StatusOr<JsonValue> after =
-      manager.Execute(MakeRequest(CreateRequestParams(1)));
+      manager.Execute(MakeRequest(SyntheticCreate(1, 40)));
   ASSERT_FALSE(after.ok());
   // Unavailable = not executed, safe to retry against a live replica.
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
@@ -422,7 +361,7 @@ TEST_F(SchedulerEdgeCaseTest, TtlEvictionDoesNotRaceInFlightCommands) {
   SessionManager manager(config);
 
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(5)));
+      manager.Execute(MakeRequest(SyntheticCreate(5, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -457,7 +396,7 @@ TEST_F(SchedulerEdgeCaseTest, CloseOrphansQueuedCommandsWithNotFound) {
   SessionManager manager(config);
 
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(6)));
+      manager.Execute(MakeRequest(SyntheticCreate(6, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -492,7 +431,7 @@ TEST_F(SchedulerEdgeCaseTest, OverloadRejectionIsImmediateAndOrdered) {
   SessionManager manager(config);
 
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateRequestParams(7)));
+      manager.Execute(MakeRequest(SyntheticCreate(7, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
   // Execute() returns from the completion callback, a hair before the

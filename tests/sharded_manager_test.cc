@@ -13,50 +13,10 @@
 #include "service/sharded_manager.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
-
-JsonValue CreateParams(uint64_t seed, const std::string& strategy = "random",
-                       const std::string& engine = "scratch") {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(static_cast<int64_t>(30)));
-  params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
-}
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_shard_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 // ------------------------------------------------------------------
 // Routing.
@@ -116,7 +76,7 @@ TEST(ShardedManagerTest, CreatesGloballyUniqueIdsAcrossShards) {
   std::set<size_t> shards_hit;
   for (uint64_t i = 0; i < 16; ++i) {
     StatusOr<JsonValue> created =
-        manager.Execute(MakeRequest(CreateParams(100 + i)));
+        manager.Execute(MakeRequest(SyntheticCreate(100 + i)));
     ASSERT_TRUE(created.ok()) << created.status();
     const std::string id = created->Get("session").AsString();
     EXPECT_TRUE(ids.insert(id).second) << "duplicate session id " << id;
@@ -154,8 +114,8 @@ TEST(ShardedManagerTest, SingleShardCreateMatchesPlainManagerByteForByte) {
   ServiceConfig plain_config;
   plain_config.num_workers = 1;
   SessionManager plain(plain_config);
-  StatusOr<JsonValue> want =
-      plain.Execute(MakeRequest(CreateParams(7, "opti-mcd", "incremental")));
+  StatusOr<JsonValue> want = plain.Execute(
+      MakeRequest(SyntheticCreate(7, 30, "opti-mcd", "incremental")));
   ASSERT_TRUE(want.ok()) << want.status();
 
   ShardedConfig config;
@@ -163,7 +123,7 @@ TEST(ShardedManagerTest, SingleShardCreateMatchesPlainManagerByteForByte) {
   config.shard.num_workers = 1;
   ShardedSessionManager sharded(config);
   StatusOr<JsonValue> got = sharded.Execute(
-      MakeRequest(CreateParams(7, "opti-mcd", "incremental")));
+      MakeRequest(SyntheticCreate(7, 30, "opti-mcd", "incremental")));
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->Dump(), want->Dump())
       << "the 1-shard pass-through changed a create response";
@@ -179,7 +139,7 @@ TEST(ShardedManagerTest, AggregateMetricsKeepSingleShardShape) {
   const size_t kSessions = 12;
   for (uint64_t i = 0; i < kSessions; ++i) {
     StatusOr<JsonValue> created =
-        manager.Execute(MakeRequest(CreateParams(200 + i)));
+        manager.Execute(MakeRequest(SyntheticCreate(200 + i)));
     ASSERT_TRUE(created.ok()) << created.status();
     JsonValue close = JsonValue::Object();
     close.Set("command", JsonValue::String("close"));
@@ -236,7 +196,7 @@ std::vector<std::string> StartInterruptedSessions(const std::string& wal_root,
   std::vector<std::string> ids;
   for (uint64_t i = 0; i < count; ++i) {
     StatusOr<JsonValue> created =
-        manager.Execute(MakeRequest(CreateParams(300 + i)));
+        manager.Execute(MakeRequest(SyntheticCreate(300 + i)));
     EXPECT_TRUE(created.ok()) << created.status();
     const std::string id = created->Get("session").AsString();
     StatusOr<JsonValue> asked = manager.Execute(SessionCommand("ask", id));
@@ -272,7 +232,7 @@ void ExpectAllRecovered(const std::string& wal_root, size_t num_shards,
   }
   // New ids continue past the recovered ones instead of colliding.
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(999)));
+      manager.Execute(MakeRequest(SyntheticCreate(999)));
   ASSERT_TRUE(created.ok()) << created.status();
   for (const std::string& id : ids) {
     EXPECT_NE(created->Get("session").AsString(), id);

@@ -11,24 +11,25 @@
 // byte at a time, proving reassembly does not change a single byte.
 
 #include <gtest/gtest.h>
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/net/framer.h"
 #include "util/json.h"
 #include "util/net.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
@@ -36,129 +37,22 @@ namespace {
 #ifdef KBREPAIRD_PATH
 
 // ------------------------------------------------------------------
-// Process plumbing.
-
-// The daemon behind stdio pipes (the pre-socket transport).
-class StdioDaemon {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    int to_child[2];
-    int from_child[2];
-    if (pipe(to_child) != 0 || pipe(from_child) != 0) return false;
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      dup2(to_child[0], STDIN_FILENO);
-      dup2(from_child[1], STDOUT_FILENO);
-      close(to_child[0]);
-      close(to_child[1]);
-      close(from_child[0]);
-      close(from_child[1]);
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    close(to_child[0]);
-    close(from_child[1]);
-    write_fd_ = to_child[1];
-    read_fd_ = from_child[0];
-    return true;
-  }
-
-  int write_fd() const { return write_fd_; }
-  int read_fd() const { return read_fd_; }
-
-  int ShutdownAndWait() {
-    if (write_fd_ >= 0) ::close(write_fd_);
-    if (read_fd_ >= 0) ::close(read_fd_);
-    write_fd_ = read_fd_ = -1;
-    if (pid_ <= 0) return -1;
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~StdioDaemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-    }
-  }
-
- private:
-  pid_t pid_ = -1;
-  int write_fd_ = -1;
-  int read_fd_ = -1;
-};
-
-// The daemon behind a Unix socket listener; stopped with SIGTERM.
-class SocketDaemon {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      const int devnull = ::open("/dev/null", O_RDONLY);
-      if (devnull >= 0) {
-        dup2(devnull, STDIN_FILENO);
-        close(devnull);
-      }
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    return true;
-  }
-
-  int SigtermAndWait() {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, SIGTERM);
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~SocketDaemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-    }
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-StatusOr<int> ConnectWithRetry(const std::string& path) {
-  Status last = Status::Unavailable("never attempted");
-  for (int i = 0; i < 500; ++i) {
-    StatusOr<int> fd = net::ConnectUnix(path);
-    if (fd.ok()) return fd;
-    last = fd.status();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return last;
-}
-
-// ------------------------------------------------------------------
 // A synchronous line channel over any (read fd, write fd) pair —
-// daemon pipes or a connected socket — with optional write
-// fragmentation to exercise reassembly.
+// daemon pipes or a connected socket, owned and closed by the channel —
+// with optional write fragmentation to exercise reassembly.
 
 class LineChannel {
  public:
   LineChannel(int read_fd, int write_fd, size_t write_chunk = 0)
       : read_fd_(read_fd), write_fd_(write_fd), write_chunk_(write_chunk) {}
+  explicit LineChannel(std::pair<int, int> pipes)
+      : LineChannel(pipes.first, pipes.second) {}
+  ~LineChannel() {
+    ::close(read_fd_);
+    if (write_fd_ != read_fd_) ::close(write_fd_);
+  }
+  LineChannel(const LineChannel&) = delete;
+  LineChannel& operator=(const LineChannel&) = delete;
 
   Status WriteLine(const std::string& line) {
     const std::string framed = line + "\n";
@@ -210,33 +104,6 @@ class LineChannel {
 // ------------------------------------------------------------------
 // The scripted dialogue, recorded as a transcript.
 
-JsonValue CreateParams(uint64_t seed, const std::string& strategy,
-                       const std::string& engine) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(static_cast<int64_t>(30)));
-  params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-// The deterministic part of a close response line (timing stripped).
-std::string CloseFingerprint(const JsonValue& response) {
-  const JsonValue& result = response.Get("result");
-  JsonValue out = JsonValue::Object();
-  out.Set("id", response.Get("id"));
-  out.Set("ok", response.Get("ok"));
-  out.Set("session", result.Get("session"));
-  out.Set("consistent", result.Get("consistent"));
-  out.Set("questions", result.Get("questions"));
-  out.Set("applied_fixes", result.Get("applied_fixes"));
-  out.Set("facts", result.Get("facts"));
-  return "close:" + out.Dump();
-}
-
 // Drives one strategy x engine cell over `channel`, issuing request ids
 // "<tag>-<n>", and appends every raw response line (close responses as
 // fingerprints) to the returned transcript.
@@ -257,8 +124,14 @@ StatusOr<std::vector<std::string>> DriveCell(LineChannel& channel,
     if (response.Get("id").AsString() != id) {
       return Status::Internal("response id mismatch on " + id);
     }
-    transcript.push_back(is_close ? CloseFingerprint(response)
-                                  : std::move(line));
+    if (is_close) {
+      // Keep the envelope but only the deterministic part of the result.
+      JsonValue stable = response;
+      stable.Set("result",
+                 JsonValue::String(CloseFingerprint(response.Get("result"))));
+      line = stable.Dump();
+    }
+    transcript.push_back(std::move(line));
     if (!response.Get("ok").AsBool(false)) {
       return Status::Internal(
           "server error: " +
@@ -268,7 +141,8 @@ StatusOr<std::vector<std::string>> DriveCell(LineChannel& channel,
   };
 
   KBREPAIR_ASSIGN_OR_RETURN(
-      JsonValue created, call(CreateParams(seed, strategy, engine), false));
+      JsonValue created,
+      call(SyntheticCreate(seed, 30, strategy, engine), false));
   const std::string session = created.Get("session").AsString();
   if (session.empty()) return Status::Internal("create returned no session");
 
@@ -282,13 +156,10 @@ StatusOr<std::vector<std::string>> DriveCell(LineChannel& channel,
     if (asked.Get("done").AsBool(false)) break;
     const int64_t num_fixes = asked.Get("question").Get("num_fixes").AsInt(0);
     if (num_fixes <= 0) return Status::Internal("question with no fixes");
-    JsonValue answer = JsonValue::Object();
-    answer.Set("command", JsonValue::String("answer"));
-    answer.Set("session", JsonValue::String(session));
-    answer.Set("choice",
-               JsonValue::Number(static_cast<int64_t>(
-                   rng.UniformIndex(static_cast<size_t>(num_fixes)))));
-    KBREPAIR_RETURN_IF_ERROR(call(std::move(answer), false).status());
+    const int64_t choice = static_cast<int64_t>(
+        rng.UniformIndex(static_cast<size_t>(num_fixes)));
+    KBREPAIR_RETURN_IF_ERROR(
+        call(AnswerCommand(session, choice).params, false).status());
   }
 
   JsonValue close = JsonValue::Object();
@@ -325,18 +196,21 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
   // single pipe pair.
   std::vector<std::vector<std::string>> stdio_transcripts;
   {
-    StdioDaemon daemon;
-    ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2"}));
-    LineChannel channel(daemon.read_fd(), daemon.write_fd());
-    for (size_t i = 0; i < cells.size(); ++i) {
-      SCOPED_TRACE(cells[i].strategy + "/" + cells[i].engine);
-      StatusOr<std::vector<std::string>> transcript =
-          DriveCell(channel, CellTag(i), seed + i,
-                    cells[i].strategy, cells[i].engine);
-      ASSERT_TRUE(transcript.ok()) << transcript.status();
-      stdio_transcripts.push_back(std::move(transcript).value());
-    }
-    EXPECT_EQ(daemon.ShutdownAndWait(), 0);
+    DaemonProcess daemon;
+    ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2"},
+                             DaemonProcess::Stdio::kPiped));
+    {
+      LineChannel channel(daemon.ReleasePipes());
+      for (size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE(cells[i].strategy + "/" + cells[i].engine);
+        StatusOr<std::vector<std::string>> transcript =
+            DriveCell(channel, CellTag(i), seed + i,
+                      cells[i].strategy, cells[i].engine);
+        ASSERT_TRUE(transcript.ok()) << transcript.status();
+        stdio_transcripts.push_back(std::move(transcript).value());
+      }
+    }  // closing the pipes is the daemon's EOF
+    EXPECT_EQ(daemon.CloseAndWait(), 0);
   }
 
   // Candidate: the same cells over a sharded socket daemon, spread
@@ -350,15 +224,18 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
     ::close(fd);
   }
   const std::string sock_path = sock_tmpl;
-  SocketDaemon daemon;
+  DaemonProcess daemon;
   ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2", "--shards",
-                            "2", "--listen-unix", sock_path}));
-  std::vector<int> fds;
+                            "2", "--listen-unix", sock_path},
+                           DaemonProcess::Stdio::kDetached));
+  const auto connect = [&] {
+    return ConnectWithRetry([&] { return net::ConnectUnix(sock_path); },
+                            &daemon);
+  };
   std::vector<std::unique_ptr<LineChannel>> channels;
   for (int i = 0; i < 3; ++i) {
-    StatusOr<int> fd = ConnectWithRetry(sock_path);
+    StatusOr<int> fd = connect();
     ASSERT_TRUE(fd.ok()) << fd.status();
-    fds.push_back(*fd);
     channels.push_back(std::make_unique<LineChannel>(*fd, *fd));
   }
   for (size_t i = 0; i < cells.size(); ++i) {
@@ -376,9 +253,8 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
   // session id is expected — the daemon numbers it after the matrix —
   // so compare from the first ask onward and check lengths match.)
   {
-    StatusOr<int> fd = ConnectWithRetry(sock_path);
+    StatusOr<int> fd = connect();
     ASSERT_TRUE(fd.ok()) << fd.status();
-    fds.push_back(*fd);
     LineChannel dribble(*fd, *fd, /*write_chunk=*/1);
     StatusOr<std::vector<std::string>> transcript = DriveCell(
         dribble, CellTag(0), seed, cells[0].strategy,
@@ -403,8 +279,8 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
     }
   }
 
-  for (const int fd : fds) ::close(fd);
-  EXPECT_EQ(daemon.SigtermAndWait(), 0);
+  channels.clear();
+  EXPECT_EQ(daemon.Terminate(), 0);
   ::unlink(sock_path.c_str());
 }
 
@@ -416,9 +292,10 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
     ::close(fd);
   }
   const std::string sock_path = sock_tmpl;
-  SocketDaemon daemon;
+  DaemonProcess daemon;
   ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2", "--shards",
-                            "4", "--listen-unix", sock_path}));
+                            "4", "--listen-unix", sock_path},
+                           DaemonProcess::Stdio::kDetached));
 
   constexpr size_t kThreads = 6;
   std::vector<std::thread> threads;
@@ -427,23 +304,24 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
   std::atomic<int> failures{0};
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      StatusOr<int> fd = ConnectWithRetry(sock_path);
+      // No exit check from these threads: Exited() reaps, and only
+      // the main thread may do that.
+      StatusOr<int> fd = ConnectWithRetry(
+          [&] { return net::ConnectUnix(sock_path); }, /*daemon=*/nullptr);
       if (!fd.ok()) {
         ++failures;
         return;
       }
       LineChannel channel(*fd, *fd);
-      JsonValue create = CreateParams(500 + t, "random", "scratch");
+      JsonValue create = SyntheticCreate(500 + t);
       create.Set("id", JsonValue::String("t" + std::to_string(t)));
       if (!channel.WriteLine(create.Dump()).ok()) {
         ++failures;
-        ::close(*fd);
         return;
       }
       StatusOr<std::string> line = channel.ReadLine();
       if (!line.ok()) {
         ++failures;
-        ::close(*fd);
         return;
       }
       StatusOr<JsonValue> response = JsonValue::Parse(*line);
@@ -457,14 +335,13 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
         std::lock_guard<std::mutex> lock(mu);
         ids.insert(session);
       }
-      ::close(*fd);
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(ids.size(), kThreads)
       << "concurrent creates collided on a session id";
-  EXPECT_EQ(daemon.SigtermAndWait(), 0);
+  EXPECT_EQ(daemon.Terminate(), 0);
   ::unlink(sock_path.c_str());
 }
 

@@ -11,70 +11,21 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <string>
-#include <vector>
 
+#include "service/daemon_client.h"
 #include "service/session_manager.h"
 #include "util/json.h"
 #include "util/trace.h"
+#include "service_test_util.h"
 
 namespace kbrepair {
 namespace {
 
-JsonValue CreateParams(uint64_t seed, const std::string& strategy,
-                       const std::string& engine, int64_t num_facts = 40) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("create"));
-  params.Set("kb", JsonValue::String("synthetic"));
-  params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  params.Set("num_facts", JsonValue::Number(num_facts));
-  params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
-  params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
-  return params;
-}
-
-ServiceRequest MakeRequest(JsonValue params) {
-  ServiceRequest request;
-  request.command = params.Get("command").AsString();
-  request.session_id = params.Get("session").AsString();
-  request.params = std::move(params);
-  return request;
-}
-
-ServiceRequest SessionCommand(const std::string& command,
-                              const std::string& session) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String(command));
-  params.Set("session", JsonValue::String(session));
-  return MakeRequest(std::move(params));
-}
-
-ServiceRequest AnswerCommand(const std::string& session, int64_t choice) {
-  JsonValue params = JsonValue::Object();
-  params.Set("command", JsonValue::String("answer"));
-  params.Set("session", JsonValue::String(session));
-  params.Set("choice", JsonValue::Number(choice));
-  return MakeRequest(std::move(params));
-}
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_trace_svc_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
-
 // Drives one session for up to `turns` questions and closes it.
 void DriveSession(SessionManager& manager, uint64_t seed, int turns) {
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(seed, "random", "scratch")));
+      manager.Execute(MakeRequest(SyntheticCreate(seed, 40)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
   for (int turn = 0; turn < turns; ++turn) {
@@ -86,38 +37,6 @@ void DriveSession(SessionManager& manager, uint64_t seed, int turns) {
     ASSERT_TRUE(manager.Execute(AnswerCommand(session, 0)).ok());
   }
   ASSERT_TRUE(manager.Execute(SessionCommand("close", session)).ok());
-}
-
-// Structural checks shared by the wire response and the sink file.
-void CheckSpanTree(const std::vector<JsonValue>& spans, bool expect_wal) {
-  ASSERT_FALSE(spans.empty());
-  std::set<int64_t> ids;
-  std::set<std::string> names;
-  for (const JsonValue& span : spans) {
-    const int64_t id = span.Get("id").AsInt(0);
-    const int64_t parent = span.Get("parent").AsInt(-1);
-    EXPECT_GT(id, 0);
-    EXPECT_TRUE(ids.insert(id).second) << "duplicate span id " << id;
-    // Ids are creation-ordered, so parents always precede children.
-    EXPECT_LT(parent, id);
-    EXPECT_GE(parent, 0);
-    EXPECT_FALSE(span.Get("name").AsString().empty());
-    EXPECT_GE(span.Get("dur_us").AsInt(-1), 0);
-    names.insert(span.Get("name").AsString());
-  }
-  // The request path must be covered end to end: scheduler-level rpc
-  // spans, session execution, inquiry, and the chase underneath it.
-  for (const char* required :
-       {"rpc.create", "rpc.ask", "rpc.answer", "rpc.close", "session.ask",
-        "session.answer", "session.close", "inquiry.next_question"}) {
-    EXPECT_TRUE(names.count(required)) << "missing span: " << required;
-  }
-  EXPECT_TRUE(names.count("chase.saturate") ||
-              names.count("chase.delta_saturate"))
-      << "no chase span recorded";
-  if (expect_wal) {
-    EXPECT_TRUE(names.count("wal.append")) << "missing span: wal.append";
-  }
 }
 
 void ExpectQuantilesCoherent(const JsonValue& histogram) {
@@ -158,29 +77,25 @@ TEST(TraceServiceTest, ThreeSessionRunYieldsSpanTreeAndLabeledMetrics) {
   const std::string file = traced->Get("file").AsString();
   ASSERT_FALSE(file.empty()) << "trace response carries no sink file";
 
-  const JsonValue& span_array = traced->Get("spans");
-  ASSERT_TRUE(span_array.is_array());
-  std::vector<JsonValue> spans;
-  for (size_t i = 0; i < span_array.size(); ++i) {
-    spans.push_back(span_array.at(i));
-  }
+  const JsonValue& spans = traced->Get("spans");
+  ASSERT_TRUE(spans.is_array());
   EXPECT_EQ(static_cast<int64_t>(spans.size()),
             traced->Get("total_spans").AsInt(-1));
-  CheckSpanTree(spans, /*expect_wal=*/true);
+  EXPECT_EQ(ValidateSpanTree(spans, /*expect_wal=*/true), "");
 
   // --- the sink file holds the same spans, one JSON object per line.
   std::ifstream sink(file);
   ASSERT_TRUE(sink.good()) << "cannot open " << file;
-  std::vector<JsonValue> file_spans;
+  JsonValue file_spans = JsonValue::Array();
   std::string line;
   while (std::getline(sink, line)) {
     if (line.empty()) continue;
     StatusOr<JsonValue> parsed = JsonValue::Parse(line);
     ASSERT_TRUE(parsed.ok()) << parsed.status() << " line: " << line;
-    file_spans.push_back(std::move(*parsed));
+    file_spans.Append(std::move(*parsed));
   }
   EXPECT_EQ(file_spans.size(), spans.size());
-  CheckSpanTree(file_spans, /*expect_wal=*/true);
+  EXPECT_EQ(ValidateSpanTree(file_spans, /*expect_wal=*/true), "");
 
   // --- metrics: the random/scratch pair saw all three sessions, and
   // its phase histograms report coherent quantiles.

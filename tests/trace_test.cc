@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "util/json.h"
+#include "service_test_util.h"
 
 // Counting global allocator for the zero-allocation contract below.
 // Only the delta between two reads matters, so gtest's own allocations
@@ -58,24 +59,6 @@ void BusyWork() {
          std::chrono::microseconds(50)) {
   }
 }
-
-class TempDir {
- public:
-  TempDir() {
-    char templ[] = "/tmp/kbrepair_trace_XXXXXX";
-    char* made = mkdtemp(templ);
-    EXPECT_NE(made, nullptr);
-    path_ = made != nullptr ? made : "/tmp";
-  }
-  ~TempDir() {
-    const std::string cmd = "rm -rf " + path_;
-    (void)std::system(cmd.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(PhaseTotalsTest, SinceAndAddAreComponentWise) {
   PhaseTotals a;
@@ -251,7 +234,7 @@ TEST(RecorderTest, SpanOpenAcrossDisableIsDropped) {
 
 TEST(RecorderTest, DrainToFileWritesParseableJsonLines) {
   TempDir dir;
-  Recorder::Instance().Enable(dir.path());
+  Recorder::Instance().Enable(dir.path);
   ASSERT_TRUE(Recorder::Instance().has_sink());
   {
     ScopedSpan outer("test.file_outer");
