@@ -4,14 +4,15 @@
 
 namespace kbrepair {
 
-AtomId FactBase::Add(const Atom& atom) {
+AtomId FactBase::Add(Atom atom) {
   const AtomId id = static_cast<AtomId>(atoms_.size());
-  atoms_.PushBack(atom);
-  by_predicate_.Mutable(atom.predicate).push_back(id);
-  for (int pos = 0; pos < atom.arity(); ++pos) {
-    IndexArg(id, pos, atom.args[static_cast<size_t>(pos)]);
+  atoms_.PushBack(std::move(atom));
+  const Atom& added = atoms_[id];
+  by_predicate_.Mutable(added.predicate).push_back(id);
+  for (int pos = 0; pos < added.arity(); ++pos) {
+    IndexArg(id, pos, added.args[static_cast<size_t>(pos)]);
   }
-  num_positions_ += static_cast<size_t>(atom.arity());
+  num_positions_ += static_cast<size_t>(added.arity());
   return id;
 }
 

@@ -50,7 +50,7 @@ class FactBase {
 
   // Appends a fact; all args must be constants or nulls (facts freeze
   // existential variables into labeled nulls before insertion).
-  AtomId Add(const Atom& atom);
+  AtomId Add(Atom atom);
 
   size_t size() const { return atoms_.size(); }
   bool empty() const { return atoms_.empty(); }

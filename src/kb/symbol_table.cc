@@ -1,19 +1,21 @@
 #include "kb/symbol_table.h"
 
+#include <iterator>
+
 namespace kbrepair {
 
-TermId SymbolTable::InternTerm(TermKind kind, const std::string& name) {
-  const std::string key = TermKey(kind, name);
-  const TermId* found = term_index_.Find(key);
+TermId SymbolTable::InternTerm(TermKind kind, std::string_view name) {
+  NameIndex<TermId>& index = term_index_[static_cast<size_t>(kind)];
+  const TermId* found = index.Find(name);
   if (found != nullptr) return *found;
   const TermId id = static_cast<TermId>(terms_.size());
-  terms_.PushBack(TermEntry{kind, name});
-  term_index_.Mutable(key) = id;
+  terms_.PushBack(TermEntry{kind, std::string(name)});
+  index.InsertAbsent(std::string(name), id);
   return id;
 }
 
-TermId SymbolTable::FindTerm(TermKind kind, const std::string& name) const {
-  const TermId* found = term_index_.Find(TermKey(kind, name));
+TermId SymbolTable::FindTerm(TermKind kind, std::string_view name) const {
+  const TermId* found = term_index_[static_cast<size_t>(kind)].Find(name);
   return found == nullptr ? kInvalidTerm : *found;
 }
 
@@ -46,29 +48,32 @@ TermId SymbolTable::ScratchNull(size_t index) {
   return scratch_nulls_[index];
 }
 
-PredicateId SymbolTable::InternPredicate(const std::string& name,
-                                         int arity) {
-  KBREPAIR_CHECK(arity >= 1) << " predicate " << name;
-  const PredicateId* found = predicate_index_.Find(name);
-  if (found != nullptr) {
-    KBREPAIR_CHECK_EQ(predicates_[static_cast<size_t>(*found)].arity, arity)
-        << " predicate " << name << " re-interned with different arity";
-    return *found;
-  }
-  const PredicateId id = static_cast<PredicateId>(predicates_.size());
-  predicates_.PushBack(PredicateEntry{name, arity});
-  predicate_index_.Mutable(name) = id;
+PredicateId SymbolTable::InternPredicate(std::string_view name, int arity) {
+  const PredicateId id = FindOrInternPredicate(name, arity);
+  KBREPAIR_CHECK_EQ(predicate_arity(id), arity)
+      << " predicate " << name << " re-interned with different arity";
   return id;
 }
 
-PredicateId SymbolTable::FindPredicate(const std::string& name) const {
+PredicateId SymbolTable::FindOrInternPredicate(std::string_view name,
+                                               int arity) {
+  const PredicateId* found = predicate_index_.Find(name);
+  if (found != nullptr) return *found;
+  KBREPAIR_CHECK(arity >= 1) << " predicate " << name;
+  const PredicateId id = static_cast<PredicateId>(predicates_.size());
+  predicates_.PushBack(PredicateEntry{std::string(name), arity});
+  predicate_index_.InsertAbsent(std::string(name), id);
+  return id;
+}
+
+PredicateId SymbolTable::FindPredicate(std::string_view name) const {
   const PredicateId* found = predicate_index_.Find(name);
   return found == nullptr ? kInvalidPredicate : *found;
 }
 
 void SymbolTable::FreezeSharedBase() {
   terms_.Freeze();
-  term_index_.Freeze();
+  for (NameIndex<TermId>& index : term_index_) index.Freeze();
   predicates_.Freeze();
   predicate_index_.Freeze();
   scratch_nulls_.Freeze();
@@ -79,7 +84,9 @@ void SymbolTable::ForkFrom(const SymbolTable& frozen) {
       << " ForkFrom requires an empty symbol table";
   KBREPAIR_DCHECK(frozen.has_shared_base() || frozen.num_terms() == 0);
   terms_ = frozen.terms_;
-  term_index_ = frozen.term_index_;
+  for (size_t kind = 0; kind < std::size(term_index_); ++kind) {
+    term_index_[kind] = frozen.term_index_[kind];
+  }
   predicates_ = frozen.predicates_;
   predicate_index_ = frozen.predicate_index_;
   scratch_nulls_ = frozen.scratch_nulls_;

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "util/cow.h"
@@ -55,20 +55,21 @@ class SymbolTable {
   // Interns (creating if absent) a term with the given kind and name.
   // The same name may exist with different kinds ("X" the constant and
   // "X" the variable are distinct terms).
-  TermId InternTerm(TermKind kind, const std::string& name);
+  // One hash probe when the term exists, two when it is new.
+  TermId InternTerm(TermKind kind, std::string_view name);
 
-  TermId InternConstant(const std::string& name) {
+  TermId InternConstant(std::string_view name) {
     return InternTerm(TermKind::kConstant, name);
   }
-  TermId InternVariable(const std::string& name) {
+  TermId InternVariable(std::string_view name) {
     return InternTerm(TermKind::kVariable, name);
   }
-  TermId InternNull(const std::string& name) {
+  TermId InternNull(std::string_view name) {
     return InternTerm(TermKind::kNull, name);
   }
 
   // Returns the id of an existing term, or kInvalidTerm.
-  TermId FindTerm(TermKind kind, const std::string& name) const;
+  TermId FindTerm(TermKind kind, std::string_view name) const;
 
   // Mints a brand-new labeled null (name "_N<k>").
   TermId MakeFreshNull();
@@ -109,10 +110,16 @@ class SymbolTable {
 
   // Interns a predicate. Re-interning an existing name with a different
   // arity is a CHECK failure (the DLGP format has no arity overloading).
-  PredicateId InternPredicate(const std::string& name, int arity);
+  PredicateId InternPredicate(std::string_view name, int arity);
+
+  // The id of the predicate named `name`, interned with `arity` when
+  // absent. An existing predicate is returned whatever its arity, so a
+  // caller reading untrusted input compares predicate_arity() itself
+  // instead of paying a FindPredicate() probe first.
+  PredicateId FindOrInternPredicate(std::string_view name, int arity);
 
   // Returns the id of an existing predicate, or kInvalidPredicate.
-  PredicateId FindPredicate(const std::string& name) const;
+  PredicateId FindPredicate(std::string_view name) const;
 
   const std::string& predicate_name(PredicateId id) const {
     KBREPAIR_DCHECK(id >= 0 &&
@@ -171,16 +178,23 @@ class SymbolTable {
     int arity;
   };
 
-  static std::string TermKey(TermKind kind, const std::string& name) {
-    std::string key(1, static_cast<char>('0' + static_cast<int>(kind)));
-    key += name;
-    return key;
-  }
+  // Hashes std::string keys and std::string_view probes alike, so
+  // lookups never build a key string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>()(name);
+    }
+  };
+  template <typename Id>
+  using NameIndex = CowMap<std::string, Id, NameHash, std::equal_to<>>;
 
   CowVector<TermEntry> terms_;
-  CowMap<std::string, TermId> term_index_;
+  // One name index per TermKind: "X" the constant and "X" the variable
+  // are distinct terms.
+  NameIndex<TermId> term_index_[3];
   CowVector<PredicateEntry> predicates_;
-  CowMap<std::string, PredicateId> predicate_index_;
+  NameIndex<PredicateId> predicate_index_;
   // Scratch-null pool: index -> TermId (see ScratchNull).
   CowVector<TermId> scratch_nulls_;
   uint64_t fresh_null_counter_ = 0;

@@ -1,9 +1,11 @@
 #include "parser/dlgp_parser.h"
 
+#include <array>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
-#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace kbrepair {
@@ -23,14 +25,42 @@ enum class TokenKind {
   kBang,     // "!"
   kEquals,   // "="
   kEnd,
+  kError,    // a lexical error; Scanner::error() holds it
 };
 
+// A token as a view into the input: identifiers as written, quoted
+// strings without their quotes.
 struct Token {
-  TokenKind kind;
-  std::string text;
-  int line;
-  int column;
+  TokenKind kind = TokenKind::kEnd;
+  std::string_view text;
+  int line = 0;
+  int column = 0;
 };
+
+// Byte classes of the scanner, matching <cctype> in the "C" locale.
+enum ByteClass : uint8_t {
+  kSpace = 1,       // std::isspace, '\n' excepted
+  kIdentStart = 2,  // std::isalnum or '_'
+  kIdentRest = 4,   // kIdentStart, '-' or '/'
+};
+
+constexpr std::array<uint8_t, 256> MakeByteClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c : {' ', '\t', '\v', '\f', '\r'}) classes[c] = kSpace;
+  for (int c = 0; c < 256; ++c) {
+    const bool alnum = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+                       (c >= 'A' && c <= 'Z');
+    if (alnum || c == '_') classes[c] = kIdentStart | kIdentRest;
+  }
+  classes['-'] = kIdentRest;
+  classes['/'] = kIdentRest;
+  return classes;
+}
+constexpr std::array<uint8_t, 256> kByteClasses = MakeByteClasses();
+
+bool HasClass(char c, ByteClass byte_class) {
+  return (kByteClasses[static_cast<unsigned char>(c)] & byte_class) != 0;
+}
 
 // Renders one input byte for an error message: printable ASCII is shown
 // quoted, anything else (control bytes, NUL, UTF-8 lead bytes) as hex so
@@ -47,390 +77,412 @@ std::string DescribeByte(char c) {
   return out;
 }
 
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+std::string Located(int line, int column, const std::string& message) {
+  return "line " + std::to_string(line) + ", column " +
+         std::to_string(column) + ": " + message;
+}
 
-  StatusOr<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
+// Hands out tokens on demand, scanning the input in place.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view text) : text_(text) {}
+
+  // The next token. At the first byte that cannot start a token, returns
+  // kError from then on and keeps the lexical error in error().
+  Token Next() {
+    if (!error_.ok()) return Token{TokenKind::kError, {}, line_, Column()};
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       const int column = Column();
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-        line_start_ = pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '%') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '(') {
-        tokens.push_back({TokenKind::kLeftParen, "(", line_, column});
-        ++pos_;
-      } else if (c == ')') {
-        tokens.push_back({TokenKind::kRightParen, ")", line_, column});
-        ++pos_;
-      } else if (c == '[') {
-        tokens.push_back({TokenKind::kLeftBracket, "[", line_, column});
-        ++pos_;
-      } else if (c == ']') {
-        tokens.push_back({TokenKind::kRightBracket, "]", line_, column});
-        ++pos_;
-      } else if (c == ',') {
-        tokens.push_back({TokenKind::kComma, ",", line_, column});
-        ++pos_;
-      } else if (c == '.') {
-        tokens.push_back({TokenKind::kDot, ".", line_, column});
-        ++pos_;
-      } else if (c == '!') {
-        tokens.push_back({TokenKind::kBang, "!", line_, column});
-        ++pos_;
-      } else if (c == '=') {
-        tokens.push_back({TokenKind::kEquals, "=", line_, column});
-        ++pos_;
-      } else if (c == ':') {
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
-          tokens.push_back({TokenKind::kImplies, ":-", line_, column});
-          pos_ += 2;
-        } else {
-          return ErrorAt("expected ':-'");
+      switch (c) {
+        case '\n':
+          ++line_;
+          ++pos_;
+          line_start_ = pos_;
+          continue;
+        case '%':
+          while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
+          continue;
+        case '(':
+          return Single(TokenKind::kLeftParen, column);
+        case ')':
+          return Single(TokenKind::kRightParen, column);
+        case '[':
+          return Single(TokenKind::kLeftBracket, column);
+        case ']':
+          return Single(TokenKind::kRightBracket, column);
+        case ',':
+          return Single(TokenKind::kComma, column);
+        case '.':
+          return Single(TokenKind::kDot, column);
+        case '!':
+          return Single(TokenKind::kBang, column);
+        case '=':
+          return Single(TokenKind::kEquals, column);
+        case ':':
+          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
+            pos_ += 2;
+            return Token{TokenKind::kImplies, text_.substr(pos_ - 2, 2), line_,
+                         column};
+          }
+          return Fail("expected ':-'");
+        case '"': {
+          const size_t start = ++pos_;
+          while (pos_ < text_.size() && text_[pos_] != '"') {
+            if (text_[pos_] == '\n') return Fail("unterminated string");
+            ++pos_;
+          }
+          if (pos_ >= text_.size()) return Fail("unterminated string");
+          ++pos_;  // closing quote
+          return Token{TokenKind::kQuoted,
+                       text_.substr(start, pos_ - 1 - start), line_, column};
         }
-      } else if (c == '"') {
+        default:
+          break;
+      }
+      if (HasClass(c, kSpace)) {
         ++pos_;
-        std::string value;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-          if (text_[pos_] == '\n') return ErrorAt("unterminated string");
-          value += text_[pos_++];
+      } else if (HasClass(c, kIdentStart)) {
+        const size_t start = pos_;
+        while (pos_ < text_.size() && HasClass(text_[pos_], kIdentRest)) {
+          ++pos_;
         }
-        if (pos_ >= text_.size()) return ErrorAt("unterminated string");
-        ++pos_;  // closing quote
-        tokens.push_back({TokenKind::kQuoted, value, line_, column});
-      } else if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        std::string value;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '_' || text_[pos_] == '-' ||
-                text_[pos_] == '/')) {
-          value += text_[pos_++];
-        }
-        tokens.push_back({TokenKind::kIdentifier, value, line_, column});
+        return Token{TokenKind::kIdentifier,
+                     text_.substr(start, pos_ - start), line_, column};
       } else {
-        return ErrorAt("unexpected character " + DescribeByte(c));
+        return Fail("unexpected character " + DescribeByte(c));
       }
     }
-    tokens.push_back({TokenKind::kEnd, "", line_, Column()});
-    return tokens;
+    return Token{TokenKind::kEnd, {}, line_, Column()};
   }
+
+  const Status& error() const { return error_; }
 
  private:
   int Column() const { return static_cast<int>(pos_ - line_start_) + 1; }
 
-  Status ErrorAt(const std::string& message) {
-    return Status::InvalidArgument("line " + std::to_string(line_) +
-                                   ", column " + std::to_string(Column()) +
-                                   ": " + message);
+  Token Single(TokenKind kind, int column) {
+    return Token{kind, text_.substr(pos_++, 1), line_, column};
   }
 
-  const std::string& text_;
+  Token Fail(const std::string& message) {
+    error_ = Status::InvalidArgument(Located(line_, Column(), message));
+    return Token{TokenKind::kError, {}, line_, Column()};
+  }
+
+  std::string_view text_;
   size_t pos_ = 0;
   size_t line_start_ = 0;
   int line_ = 1;
+  Status error_ = Status::Ok();
 };
 
-// One parsed term before symbol resolution.
-struct RawTerm {
-  std::string text;
+// One term of a statement, as a view into the input.
+struct PendingTerm {
+  std::string_view text;
   bool quoted = false;
-  int line = 0;
 };
 
-// One parsed atom or equality.
-struct RawAtom {
-  std::string predicate;  // empty for equalities
-  std::vector<RawTerm> args;
+// One atom p(t1, ..., tn) or equality t1 = t2 of a statement; its terms
+// are PendingTerms [first_term, first_term + num_terms).
+struct PendingAtom {
+  std::string_view predicate;  // empty for equalities
+  size_t first_term = 0;
+  size_t num_terms = 0;
   bool is_equality = false;
   int line = 0;
 };
 
-struct RawStatement {
-  enum class Kind { kFact, kTgd, kCdd } kind;
-  std::string label;          // "[name]" prefix; empty if absent
-  std::vector<RawAtom> head;  // facts store their atom here
-  std::vector<RawAtom> body;
-  int line = 0;
-};
-
+// Parses statement by statement and resolves each into the KB as soon
+// as its '.' is read. A statement is held as views into the input until
+// then, so nothing is interned for a statement that turns out malformed.
+//
+// Errors keep the precedence of a lexer, a parser and a resolver each
+// run over the whole text: any lexical error beats any syntax error,
+// which beats any resolution error. So after the first resolution error
+// parsing goes on without resolving, and after the first syntax error
+// scanning goes on to the end.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::string_view text, KnowledgeBase& kb)
+      : scanner_(text), kb_(kb), symbols_(kb.symbols()) {
+    Advance();
+  }
 
-  StatusOr<std::vector<RawStatement>> ParseAll() {
-    std::vector<RawStatement> statements;
-    while (Peek().kind != TokenKind::kEnd) {
-      auto statement = ParseStatement();
-      if (!statement.ok()) return statement.status();
-      statements.push_back(std::move(statement).value());
+  Status Run() {
+    while (token_.kind != TokenKind::kEnd &&
+           token_.kind != TokenKind::kError) {
+      if (!ParseStatement()) {
+        while (token_.kind != TokenKind::kEnd &&
+               token_.kind != TokenKind::kError) {
+          Advance();
+        }
+        break;
+      }
+      if (resolve_error_.ok()) resolve_error_ = ResolveStatement();
     }
-    return statements;
+    if (!scanner_.error().ok()) return scanner_.error();
+    if (!syntax_error_.ok()) return syntax_error_;
+    return resolve_error_;
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_++]; }
+  enum class Kind { kFact, kTgd, kCdd };
 
-  Status ErrorHere(const std::string& message) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(Peek().line) + ", column " +
-        std::to_string(Peek().column) + ": " + message);
+  void Advance() { token_ = scanner_.Next(); }
+
+  bool IsTerm() const {
+    return token_.kind == TokenKind::kIdentifier ||
+           token_.kind == TokenKind::kQuoted;
   }
 
-  StatusOr<RawStatement> ParseStatement() {
-    RawStatement statement;
-    statement.line = Peek().line;
-    if (Peek().kind == TokenKind::kLeftBracket) {
+  // Records a syntax error at the current token; always false.
+  bool SyntaxError(const std::string& message) {
+    syntax_error_ = Status::InvalidArgument(
+        Located(token_.line, token_.column, message));
+    return false;
+  }
+
+  bool ParseStatement() {
+    atoms_.clear();
+    terms_.clear();
+    label_ = {};
+    line_ = token_.line;
+    if (token_.kind == TokenKind::kLeftBracket) {
       Advance();
-      if (Peek().kind != TokenKind::kIdentifier) {
-        return ErrorHere("expected rule label after '['");
+      if (token_.kind != TokenKind::kIdentifier) {
+        return SyntaxError("expected rule label after '['");
       }
-      statement.label = Advance().text;
-      if (Peek().kind != TokenKind::kRightBracket) {
-        return ErrorHere("expected ']' after rule label");
+      label_ = token_.text;
+      Advance();
+      if (token_.kind != TokenKind::kRightBracket) {
+        return SyntaxError("expected ']' after rule label");
       }
       Advance();
     }
-    if (Peek().kind == TokenKind::kBang) {
+    if (token_.kind == TokenKind::kBang) {
       // CDD: ! :- body .
       Advance();
-      if (Peek().kind != TokenKind::kImplies) {
-        return ErrorHere("expected ':-' after '!'");
+      if (token_.kind != TokenKind::kImplies) {
+        return SyntaxError("expected ':-' after '!'");
       }
       Advance();
-      statement.kind = RawStatement::Kind::kCdd;
-      auto body = ParseAtomList();
-      if (!body.ok()) return body.status();
-      statement.body = std::move(body).value();
+      kind_ = Kind::kCdd;
+      head_end_ = 0;
+      if (!ParseAtomList()) return false;
     } else {
-      auto first = ParseAtomList();
-      if (!first.ok()) return first.status();
-      if (Peek().kind == TokenKind::kImplies) {
+      if (!ParseAtomList()) return false;
+      head_end_ = atoms_.size();
+      kind_ = Kind::kFact;
+      if (token_.kind == TokenKind::kImplies) {
         Advance();
-        statement.kind = RawStatement::Kind::kTgd;
-        statement.head = std::move(first).value();
-        auto body = ParseAtomList();
-        if (!body.ok()) return body.status();
-        statement.body = std::move(body).value();
-      } else {
-        statement.kind = RawStatement::Kind::kFact;
-        statement.head = std::move(first).value();
+        kind_ = Kind::kTgd;
+        if (!ParseAtomList()) return false;
       }
     }
-    if (Peek().kind != TokenKind::kDot) {
-      return ErrorHere("expected '.' at end of statement");
+    if (token_.kind != TokenKind::kDot) {
+      return SyntaxError("expected '.' at end of statement");
     }
     Advance();
-    return statement;
+    return true;
   }
 
-  StatusOr<std::vector<RawAtom>> ParseAtomList() {
-    std::vector<RawAtom> atoms;
+  bool ParseAtomList() {
     while (true) {
-      auto atom = ParseAtomOrEquality();
-      if (!atom.ok()) return atom.status();
-      atoms.push_back(std::move(atom).value());
-      if (Peek().kind == TokenKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
+      if (!ParseAtomOrEquality()) return false;
+      if (token_.kind != TokenKind::kComma) return true;
+      Advance();
     }
-    return atoms;
   }
 
-  StatusOr<RawAtom> ParseAtomOrEquality() {
-    RawAtom atom;
-    atom.line = Peek().line;
-    if (Peek().kind != TokenKind::kIdentifier &&
-        Peek().kind != TokenKind::kQuoted) {
-      return ErrorHere("expected predicate or term");
-    }
-    const Token first = Advance();
-    if (Peek().kind == TokenKind::kEquals) {
+  void PushTerm(const Token& token) {
+    terms_.push_back({token.text, token.kind == TokenKind::kQuoted});
+  }
+
+  bool ParseAtomOrEquality() {
+    PendingAtom atom;
+    atom.line = token_.line;
+    atom.first_term = terms_.size();
+    if (!IsTerm()) return SyntaxError("expected predicate or term");
+    const Token first = token_;
+    Advance();
+    if (token_.kind == TokenKind::kEquals) {
       // Equality: term = term.
       Advance();
-      if (Peek().kind != TokenKind::kIdentifier &&
-          Peek().kind != TokenKind::kQuoted) {
-        return ErrorHere("expected term after '='");
-      }
-      const Token second = Advance();
+      if (!IsTerm()) return SyntaxError("expected term after '='");
+      PushTerm(first);
+      PushTerm(token_);
+      Advance();
       atom.is_equality = true;
-      atom.args.push_back(
-          {first.text, first.kind == TokenKind::kQuoted, first.line});
-      atom.args.push_back(
-          {second.text, second.kind == TokenKind::kQuoted, second.line});
-      return atom;
+      atom.num_terms = 2;
+      atoms_.push_back(atom);
+      return true;
     }
     if (first.kind == TokenKind::kQuoted) {
-      return ErrorHere("predicate names cannot be quoted");
+      return SyntaxError("predicate names cannot be quoted");
     }
     atom.predicate = first.text;
-    if (Peek().kind != TokenKind::kLeftParen) {
-      return ErrorHere("expected '(' after predicate " + first.text);
+    if (token_.kind != TokenKind::kLeftParen) {
+      return SyntaxError("expected '(' after predicate " +
+                         std::string(first.text));
     }
     Advance();
     while (true) {
-      if (Peek().kind != TokenKind::kIdentifier &&
-          Peek().kind != TokenKind::kQuoted) {
-        return ErrorHere("expected term");
-      }
-      const Token term = Advance();
-      atom.args.push_back(
-          {term.text, term.kind == TokenKind::kQuoted, term.line});
-      if (Peek().kind == TokenKind::kComma) {
+      if (!IsTerm()) return SyntaxError("expected term");
+      PushTerm(token_);
+      Advance();
+      if (token_.kind == TokenKind::kComma) {
         Advance();
         continue;
       }
-      if (Peek().kind == TokenKind::kRightParen) {
+      if (token_.kind == TokenKind::kRightParen) {
         Advance();
         break;
       }
-      return ErrorHere("expected ',' or ')' in argument list");
+      return SyntaxError("expected ',' or ')' in argument list");
+    }
+    atom.num_terms = terms_.size() - atom.first_term;
+    atoms_.push_back(atom);
+    return true;
+  }
+
+  static Status ErrorOnLine(int line, const std::string& message) {
+    return Status::InvalidArgument("line " + std::to_string(line) + ": " +
+                                   message);
+  }
+
+  // Rule context: an uppercase-initial identifier is a variable.
+  TermId RuleTerm(const PendingTerm& term) {
+    if (!term.quoted && !term.text.empty() &&
+        std::isupper(static_cast<unsigned char>(term.text[0]))) {
+      return symbols_.InternVariable(term.text);
+    }
+    return symbols_.InternConstant(term.text);
+  }
+
+  // Fact context: a '_'-initial identifier is a labeled null.
+  TermId FactTerm(const PendingTerm& term) {
+    if (!term.quoted && !term.text.empty() && term.text[0] == '_') {
+      return symbols_.InternNull(term.text);
+    }
+    return symbols_.InternConstant(term.text);
+  }
+
+  StatusOr<Atom> ResolveAtom(const PendingAtom& pending, bool rule_context) {
+    const int arity = static_cast<int>(pending.num_terms);
+    const PredicateId pred =
+        symbols_.FindOrInternPredicate(pending.predicate, arity);
+    if (symbols_.predicate_arity(pred) != arity) {
+      return ErrorOnLine(
+          pending.line,
+          "predicate " + std::string(pending.predicate) + " used with arity " +
+              std::to_string(arity) + " but previously had arity " +
+              std::to_string(symbols_.predicate_arity(pred)));
+    }
+    Atom atom;
+    atom.predicate = pred;
+    atom.args.reserve(pending.num_terms);
+    for (size_t i = 0; i < pending.num_terms; ++i) {
+      const PendingTerm& term = terms_[pending.first_term + i];
+      atom.args.push_back(rule_context ? RuleTerm(term) : FactTerm(term));
     }
     return atom;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-};
-
-bool IsVariableName(const RawTerm& term) {
-  return !term.quoted && !term.text.empty() &&
-         std::isupper(static_cast<unsigned char>(term.text[0]));
-}
-
-bool IsNullName(const RawTerm& term) {
-  return !term.quoted && !term.text.empty() && term.text[0] == '_';
-}
-
-// Resolves a term in rule context (uppercase-initial = variable).
-TermId ResolveRuleTerm(const RawTerm& term, SymbolTable& symbols) {
-  if (IsVariableName(term)) return symbols.InternVariable(term.text);
-  return symbols.InternConstant(term.text);
-}
-
-// Resolves a term in fact context ('_'-initial = labeled null).
-TermId ResolveFactTerm(const RawTerm& term, SymbolTable& symbols) {
-  if (IsNullName(term)) return symbols.InternNull(term.text);
-  return symbols.InternConstant(term.text);
-}
-
-StatusOr<Atom> ResolveAtom(const RawAtom& raw, bool rule_context,
-                           SymbolTable& symbols) {
-  const int arity = static_cast<int>(raw.args.size());
-  const PredicateId existing = symbols.FindPredicate(raw.predicate);
-  if (existing != kInvalidPredicate &&
-      symbols.predicate_arity(existing) != arity) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(raw.line) + ": predicate " +
-        raw.predicate + " used with arity " + std::to_string(arity) +
-        " but previously had arity " +
-        std::to_string(symbols.predicate_arity(existing)));
+  // Resolves atoms_[begin, end) of a TGD into `out`.
+  Status ResolveRuleAtoms(size_t begin, size_t end, std::vector<Atom>& out) {
+    out.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      if (atoms_[i].is_equality) {
+        return ErrorOnLine(atoms_[i].line,
+                           "equalities are only allowed in CDD bodies");
+      }
+      KBREPAIR_ASSIGN_OR_RETURN(Atom atom,
+                                ResolveAtom(atoms_[i], /*rule_context=*/true));
+      out.push_back(std::move(atom));
+    }
+    return Status::Ok();
   }
-  const PredicateId pred = symbols.InternPredicate(raw.predicate, arity);
-  Atom atom;
-  atom.predicate = pred;
-  atom.args.reserve(raw.args.size());
-  for (const RawTerm& term : raw.args) {
-    atom.args.push_back(rule_context ? ResolveRuleTerm(term, symbols)
-                                     : ResolveFactTerm(term, symbols));
-  }
-  return atom;
-}
 
-}  // namespace
-
-Status ParseDlgpInto(const std::string& text, KnowledgeBase& kb) {
-  Lexer lexer(text);
-  KBREPAIR_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  Parser parser(std::move(tokens));
-  KBREPAIR_ASSIGN_OR_RETURN(std::vector<RawStatement> statements,
-                            parser.ParseAll());
-
-  SymbolTable& symbols = kb.symbols();
-  for (const RawStatement& statement : statements) {
-    switch (statement.kind) {
-      case RawStatement::Kind::kFact: {
-        if (!statement.label.empty()) {
-          return Status::InvalidArgument(
-              "line " + std::to_string(statement.line) +
-              ": labels are only supported on rules and constraints");
+  // Interns the statement just parsed and adds it to the KB, in the
+  // order that fixes every id: atom by atom, predicate before terms, a
+  // TGD's head before its body.
+  Status ResolveStatement() {
+    switch (kind_) {
+      case Kind::kFact: {
+        if (!label_.empty()) {
+          return ErrorOnLine(
+              line_, "labels are only supported on rules and constraints");
         }
-        for (const RawAtom& raw : statement.head) {
-          if (raw.is_equality) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(raw.line) +
-                ": equalities are only allowed in CDD bodies");
+        for (const PendingAtom& pending : atoms_) {
+          if (pending.is_equality) {
+            return ErrorOnLine(pending.line,
+                               "equalities are only allowed in CDD bodies");
           }
           KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom,
-              ResolveAtom(raw, /*rule_context=*/false, symbols));
-          kb.facts().Add(atom);
+              Atom atom, ResolveAtom(pending, /*rule_context=*/false));
+          kb_.facts().Add(std::move(atom));
         }
-        break;
+        return Status::Ok();
       }
-      case RawStatement::Kind::kTgd: {
+      case Kind::kTgd: {
         std::vector<Atom> head;
         std::vector<Atom> body;
-        for (const RawAtom& raw : statement.head) {
-          if (raw.is_equality) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(raw.line) +
-                ": equalities are only allowed in CDD bodies");
-          }
-          KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom, ResolveAtom(raw, /*rule_context=*/true, symbols));
-          head.push_back(std::move(atom));
-        }
-        for (const RawAtom& raw : statement.body) {
-          if (raw.is_equality) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(raw.line) +
-                ": equalities are only allowed in CDD bodies");
-          }
-          KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom, ResolveAtom(raw, /*rule_context=*/true, symbols));
-          body.push_back(std::move(atom));
-        }
+        KBREPAIR_RETURN_IF_ERROR(ResolveRuleAtoms(0, head_end_, head));
+        KBREPAIR_RETURN_IF_ERROR(
+            ResolveRuleAtoms(head_end_, atoms_.size(), body));
         KBREPAIR_ASSIGN_OR_RETURN(
-            Tgd tgd, Tgd::Create(std::move(body), std::move(head), symbols));
-        tgd.set_label(statement.label);
-        kb.tgds().push_back(std::move(tgd));
-        break;
+            Tgd tgd, Tgd::Create(std::move(body), std::move(head), symbols_));
+        tgd.set_label(std::string(label_));
+        kb_.tgds().push_back(std::move(tgd));
+        return Status::Ok();
       }
-      case RawStatement::Kind::kCdd: {
+      case Kind::kCdd: {
         std::vector<Atom> body;
         std::vector<TermEquality> equalities;
-        for (const RawAtom& raw : statement.body) {
-          if (raw.is_equality) {
+        for (const PendingAtom& pending : atoms_) {
+          if (pending.is_equality) {
             TermEquality eq;
-            eq.left = ResolveRuleTerm(raw.args[0], symbols);
-            eq.right = ResolveRuleTerm(raw.args[1], symbols);
+            eq.left = RuleTerm(terms_[pending.first_term]);
+            eq.right = RuleTerm(terms_[pending.first_term + 1]);
             equalities.push_back(eq);
             continue;
           }
           KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom, ResolveAtom(raw, /*rule_context=*/true, symbols));
+              Atom atom, ResolveAtom(pending, /*rule_context=*/true));
           body.push_back(std::move(atom));
         }
         KBREPAIR_ASSIGN_OR_RETURN(
             Cdd cdd,
-            Cdd::Create(std::move(body), symbols, std::move(equalities)));
-        cdd.set_label(statement.label);
-        kb.cdds().push_back(std::move(cdd));
-        break;
+            Cdd::Create(std::move(body), symbols_, std::move(equalities)));
+        cdd.set_label(std::string(label_));
+        kb_.cdds().push_back(std::move(cdd));
+        return Status::Ok();
       }
     }
+    return Status::Ok();
   }
-  return Status::Ok();
+
+  Scanner scanner_;
+  KnowledgeBase& kb_;
+  SymbolTable& symbols_;
+  Token token_;  // the lookahead
+  Status syntax_error_ = Status::Ok();
+  Status resolve_error_ = Status::Ok();
+
+  // The statement being parsed; buffers reused across statements.
+  Kind kind_ = Kind::kFact;
+  std::string_view label_;
+  int line_ = 0;
+  std::vector<PendingAtom> atoms_;
+  size_t head_end_ = 0;  // atoms_[0, head_end_) is a TGD's head
+  std::vector<PendingTerm> terms_;
+};
+
+}  // namespace
+
+Status ParseDlgpInto(const std::string& text, KnowledgeBase& kb) {
+  return Parser(text, kb).Run();
 }
 
 StatusOr<KnowledgeBase> ParseDlgp(const std::string& text) {
@@ -441,17 +493,12 @@ StatusOr<KnowledgeBase> ParseDlgp(const std::string& text) {
 
 namespace {
 
-// True iff the lexer would read `name` back as one identifier token:
+// True iff the scanner would read `name` back as one identifier token:
 // alnum/underscore start, then alnum/underscore/dash/slash.
 bool LexesAsIdentifier(const std::string& name) {
-  if (name.empty()) return false;
-  const unsigned char first = static_cast<unsigned char>(name[0]);
-  if (!std::isalnum(first) && first != '_') return false;
+  if (name.empty() || !HasClass(name[0], kIdentStart)) return false;
   for (const char c : name) {
-    const unsigned char byte = static_cast<unsigned char>(c);
-    if (!std::isalnum(byte) && c != '_' && c != '-' && c != '/') {
-      return false;
-    }
+    if (!HasClass(c, kIdentRest)) return false;
   }
   return true;
 }

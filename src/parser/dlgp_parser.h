@@ -30,11 +30,17 @@
 namespace kbrepair {
 
 // Parses `text` into a fresh KnowledgeBase. Errors carry 1-based line
-// numbers. The result is syntactically validated but Validate() (weak
-// acyclicity etc.) is left to the caller.
+// numbers, plus the column for lexical and syntax errors; the first
+// lexical error wins over any syntax error, which wins over any
+// resolution error (e.g. an arity clash). The result is syntactically
+// validated but Validate() (weak acyclicity etc.) is left to the caller.
 StatusOr<KnowledgeBase> ParseDlgp(const std::string& text);
 
 // Parses `text` and appends to an existing KnowledgeBase (same syntax).
+// Statements are resolved into `kb` as they are read, so after an error
+// `kb` may hold a prefix of the statements (and symbols interned by the
+// statement that failed to resolve). ParseDlgp is unaffected: it
+// discards its KB on error.
 Status ParseDlgpInto(const std::string& text, KnowledgeBase& kb);
 
 // Serializes a KnowledgeBase back to the syntax above. Round-trips with

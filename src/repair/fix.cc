@@ -28,10 +28,8 @@ std::vector<Position> AllPositions(const FactBase& facts) {
 bool IsValidFixSet(const std::vector<Fix>& fixes) {
   std::unordered_map<uint64_t, TermId> seen;
   for (const Fix& fix : fixes) {
-    const uint64_t key = (static_cast<uint64_t>(fix.atom) << 8) ^
-                         static_cast<uint64_t>(
-                             static_cast<uint32_t>(fix.arg));
-    auto [it, inserted] = seen.emplace(key, fix.value);
+    auto [it, inserted] =
+        seen.emplace(PositionKey(fix.atom, fix.arg), fix.value);
     if (!inserted && it->second != fix.value) return false;
   }
   return true;

@@ -37,11 +37,20 @@ struct Position {
   }
 };
 
+// Packs argument position `arg` (>= 0) of `id` — a fact or a predicate —
+// into one 64-bit key, distinct for distinct (id, arg) pairs. Args below
+// 256 keep the packing (id << 8) | arg, on which hash iteration orders,
+// and with them dialogues, depend; wider args set the top bit and sit
+// above a 32-bit id.
+inline uint64_t PositionKey(uint32_t id, int arg) {
+  const uint64_t wide_arg = static_cast<uint32_t>(arg);
+  if (wide_arg < 256) return (static_cast<uint64_t>(id) << 8) | wide_arg;
+  return (uint64_t{1} << 63) | (wide_arg << 32) | id;
+}
+
 struct PositionHash {
   size_t operator()(const Position& p) const {
-    return std::hash<uint64_t>()(
-        (static_cast<uint64_t>(p.atom) << 8) ^
-        static_cast<uint64_t>(static_cast<uint32_t>(p.arg)));
+    return std::hash<uint64_t>()(PositionKey(p.atom, p.arg));
   }
 };
 

@@ -282,8 +282,7 @@ struct McdRanking {
   std::unordered_map<uint64_t, const Conflict*> conflict_for;
 
   static uint64_t Key(const Position& p) {
-    return (static_cast<uint64_t>(p.atom) << 8) ^
-           static_cast<uint64_t>(static_cast<uint32_t>(p.arg));
+    return PositionKey(p.atom, p.arg);
   }
 };
 

@@ -27,6 +27,7 @@
 
 #include "kb/fact_base.h"
 #include "kb/symbol_table.h"
+#include "repair/fix.h"
 #include "repair/question.h"
 
 namespace kbrepair {
@@ -58,8 +59,7 @@ class PreferenceModel {
   };
 
   static uint64_t Key(PredicateId pred, int arg) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 8) |
-           static_cast<uint64_t>(static_cast<uint32_t>(arg) & 0xff);
+    return PositionKey(static_cast<uint32_t>(pred), arg);
   }
 
   const SymbolTable* symbols_;

@@ -1,5 +1,7 @@
 #include "rules/cdd.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -87,19 +89,30 @@ StatusOr<Cdd> Cdd::Create(std::vector<Atom> body,
   Cdd cdd;
   cdd.body_ = std::move(body);
 
-  // Count occurrences of each variable across all argument positions.
-  std::unordered_map<TermId, int> occurrences;
+  // Every variable occurrence across all argument positions, sorted: a
+  // variable's occurrences form one run, whose length is its count.
+  std::vector<TermId> occurrences;
   for (const Atom& atom : cdd.body_) {
     for (TermId term : atom.args) {
-      if (symbols.IsVariable(term)) ++occurrences[term];
+      if (symbols.IsVariable(term)) occurrences.push_back(term);
     }
   }
+  std::sort(occurrences.begin(), occurrences.end());
+  // Index of the start of `term`'s run, or -1 for a variable occurring
+  // once (or a non-variable).
+  auto join_run = [&](TermId term) -> ptrdiff_t {
+    if (!symbols.IsVariable(term)) return -1;
+    const auto [lo, hi] =
+        std::equal_range(occurrences.begin(), occurrences.end(), term);
+    return hi - lo >= 2 ? lo - occurrences.begin() : -1;
+  };
+  std::vector<char> listed(occurrences.size(), 0);
   for (const Atom& atom : cdd.body_) {
     for (TermId term : atom.args) {
-      if (symbols.IsVariable(term) && occurrences[term] >= 2) {
-        bool known = false;
-        for (TermId v : cdd.join_variables_) known = known || v == term;
-        if (!known) cdd.join_variables_.push_back(term);
+      const ptrdiff_t run = join_run(term);
+      if (run >= 0 && !listed[static_cast<size_t>(run)]) {
+        listed[static_cast<size_t>(run)] = 1;
+        cdd.join_variables_.push_back(term);
       }
     }
   }
@@ -109,8 +122,7 @@ StatusOr<Cdd> Cdd::Create(std::vector<Atom> body,
     const Atom& atom = cdd.body_[i];
     for (int pos = 0; pos < atom.arity(); ++pos) {
       const TermId term = atom.args[static_cast<size_t>(pos)];
-      const bool is_join =
-          symbols.IsVariable(term) && occurrences[term] >= 2;
+      const bool is_join = join_run(term) >= 0;
       const bool is_constant = symbols.IsConstant(term);
       if (is_join || is_constant) {
         cdd.resolving_positions_[i].push_back(pos);

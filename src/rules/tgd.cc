@@ -1,21 +1,37 @@
 #include "rules/tgd.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <utility>
 
 namespace kbrepair {
 
 std::vector<TermId> CollectVariables(const std::vector<Atom>& atoms,
                                      const SymbolTable& symbols) {
-  std::vector<TermId> variables;
-  std::unordered_set<TermId> seen;
+  // Sort (variable, occurrence index) pairs, keep each variable's first
+  // occurrence, restore occurrence order: O(n log n) in the rule's size
+  // and no allocation per variable, unlike a hash set.
+  std::vector<std::pair<TermId, uint32_t>> occurrences;
   for (const Atom& atom : atoms) {
     for (TermId term : atom.args) {
-      if (symbols.IsVariable(term) && seen.insert(term).second) {
-        variables.push_back(term);
+      if (symbols.IsVariable(term)) {
+        occurrences.emplace_back(
+            term, static_cast<uint32_t>(occurrences.size()));
       }
     }
   }
+  std::sort(occurrences.begin(), occurrences.end());
+  auto same_variable = [](const auto& a, const auto& b) {
+    return a.first == b.first;
+  };
+  occurrences.erase(
+      std::unique(occurrences.begin(), occurrences.end(), same_variable),
+      occurrences.end());
+  std::sort(occurrences.begin(), occurrences.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  std::vector<TermId> variables;
+  variables.reserve(occurrences.size());
+  for (const auto& [term, index] : occurrences) variables.push_back(term);
   return variables;
 }
 
@@ -61,12 +77,10 @@ StatusOr<Tgd> Tgd::Create(std::vector<Atom> body, std::vector<Atom> head,
   tgd.body_ = std::move(body);
   tgd.head_ = std::move(head);
 
-  const std::vector<TermId> body_vars =
-      CollectVariables(tgd.body_, symbols);
-  const std::unordered_set<TermId> body_var_set(body_vars.begin(),
-                                                body_vars.end());
+  std::vector<TermId> body_vars = CollectVariables(tgd.body_, symbols);
+  std::sort(body_vars.begin(), body_vars.end());
   for (TermId var : CollectVariables(tgd.head_, symbols)) {
-    if (body_var_set.count(var) > 0) {
+    if (std::binary_search(body_vars.begin(), body_vars.end(), var)) {
       tgd.frontier_variables_.push_back(var);
     } else {
       tgd.existential_variables_.push_back(var);

@@ -1,174 +1,162 @@
 #include "rules/weak_acyclicity.h"
 
-#include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 #include <vector>
-
-#include "util/logging.h"
 
 namespace kbrepair {
 
 namespace {
 
-// Dense node ids for (predicate, position) pairs.
-class PositionGraph {
- public:
-  int NodeFor(PredicateId pred, int pos) {
-    const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 8) |
-        static_cast<uint64_t>(pos);
-    auto [it, inserted] = node_ids_.emplace(key, num_nodes_);
-    if (inserted) {
-      ++num_nodes_;
-      regular_edges_.emplace_back();
-      special_edges_.emplace_back();
-    }
-    return it->second;
-  }
-
-  void AddRegularEdge(int from, int to) {
-    regular_edges_[static_cast<size_t>(from)].insert(to);
-  }
-  void AddSpecialEdge(int from, int to) {
-    special_edges_[static_cast<size_t>(from)].insert(to);
-  }
-
-  int num_nodes() const { return num_nodes_; }
-  const std::unordered_set<int>& regular_edges(int node) const {
-    return regular_edges_[static_cast<size_t>(node)];
-  }
-  const std::unordered_set<int>& special_edges(int node) const {
-    return special_edges_[static_cast<size_t>(node)];
-  }
-
- private:
-  std::unordered_map<uint64_t, int> node_ids_;
-  int num_nodes_ = 0;
-  std::vector<std::unordered_set<int>> regular_edges_;
-  std::vector<std::unordered_set<int>> special_edges_;
+// The position dependency graph with dense node ids and its edges in
+// compressed sparse rows. Each predicate occurring in a TGD owns a block
+// of `arity` consecutive ids, numbered in first-occurrence order, so
+// (predicate, position) pairs never share a node whatever the arity.
+struct PositionGraph {
+  int num_nodes = 0;
+  // Out-edges of node v, regular and special alike, are
+  // targets[first_edge[v] .. first_edge[v + 1]).
+  std::vector<int> first_edge;
+  std::vector<int> targets;
+  // Special edges as (from, to) pairs.
+  std::vector<std::pair<int, int>> special;
 };
 
-// Iterative Tarjan SCC over the union of regular and special edges.
+PositionGraph BuildPositionGraph(const std::vector<Tgd>& tgds,
+                                 const SymbolTable& symbols) {
+  PositionGraph graph;
+  std::vector<int> block(symbols.num_predicates(), -1);
+  auto node = [&](const Atom& atom, int pos) {
+    int& first = block[static_cast<size_t>(atom.predicate)];
+    if (first < 0) {
+      first = graph.num_nodes;
+      graph.num_nodes += symbols.predicate_arity(atom.predicate);
+    }
+    return first + pos;
+  };
+
+  struct Occurrence {
+    TermId var;
+    int node;
+    bool operator<(const Occurrence& other) const { return var < other.var; }
+  };
+  std::vector<std::pair<int, int>> regular;
+  std::vector<Occurrence> body;  // variable occurrences, sorted by var
+  std::vector<int> existential;  // head nodes of existential variables
+  for (const Tgd& tgd : tgds) {
+    body.clear();
+    for (const Atom& atom : tgd.body()) {
+      for (int pos = 0; pos < atom.arity(); ++pos) {
+        const TermId term = atom.args[static_cast<size_t>(pos)];
+        if (symbols.IsVariable(term)) body.push_back({term, node(atom, pos)});
+      }
+    }
+    std::sort(body.begin(), body.end());
+    // A head variable with body occurrences is a frontier variable: a
+    // regular edge from each of them. One without is existential.
+    existential.clear();
+    for (const Atom& atom : tgd.head()) {
+      for (int pos = 0; pos < atom.arity(); ++pos) {
+        const TermId term = atom.args[static_cast<size_t>(pos)];
+        if (!symbols.IsVariable(term)) continue;
+        const int to = node(atom, pos);
+        const auto [lo, hi] =
+            std::equal_range(body.begin(), body.end(), Occurrence{term, 0});
+        if (lo == hi) existential.push_back(to);
+        for (auto it = lo; it != hi; ++it) regular.emplace_back(it->node, to);
+      }
+    }
+    if (existential.empty()) continue;
+    for (TermId var : tgd.frontier_variables()) {
+      const auto [lo, hi] =
+          std::equal_range(body.begin(), body.end(), Occurrence{var, 0});
+      for (auto it = lo; it != hi; ++it) {
+        for (int to : existential) graph.special.emplace_back(it->node, to);
+      }
+    }
+  }
+
+  graph.first_edge.assign(static_cast<size_t>(graph.num_nodes) + 1, 0);
+  for (const auto& edges : {&regular, &graph.special}) {
+    for (const auto& [from, to] : *edges) {
+      ++graph.first_edge[static_cast<size_t>(from) + 1];
+    }
+  }
+  for (size_t v = 1; v < graph.first_edge.size(); ++v) {
+    graph.first_edge[v] += graph.first_edge[v - 1];
+  }
+  graph.targets.resize(regular.size() + graph.special.size());
+  std::vector<int> fill(graph.first_edge.begin(), graph.first_edge.end() - 1);
+  for (const auto& edges : {&regular, &graph.special}) {
+    for (const auto& [from, to] : *edges) {
+      graph.targets[static_cast<size_t>(fill[static_cast<size_t>(from)]++)] =
+          to;
+    }
+  }
+  return graph;
+}
+
+// Iterative Tarjan SCC over the graph's edges; returns each node's
+// component.
 std::vector<int> StronglyConnectedComponents(const PositionGraph& graph) {
-  const int n = graph.num_nodes();
-  std::vector<int> component(static_cast<size_t>(n), -1);
-  std::vector<int> index(static_cast<size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<size_t>(n), false);
+  const size_t n = static_cast<size_t>(graph.num_nodes);
+  std::vector<int> component(n, -1);
+  std::vector<int> index(n, -1);
+  std::vector<int> lowlink(n, 0);
+  std::vector<char> on_stack(n, 0);
   std::vector<int> stack;
   int next_index = 0;
   int next_component = 0;
 
   struct Frame {
     int node;
-    std::vector<int> successors;
-    size_t next_successor;
+    int next_edge;  // into graph.targets
   };
-
-  auto successors_of = [&graph](int node) {
-    std::vector<int> successors;
-    for (int to : graph.regular_edges(node)) successors.push_back(to);
-    for (int to : graph.special_edges(node)) successors.push_back(to);
-    return successors;
-  };
-
-  for (int start = 0; start < n; ++start) {
-    if (index[static_cast<size_t>(start)] != -1) continue;
-    std::vector<Frame> frames;
-    frames.push_back(Frame{start, successors_of(start), 0});
-    index[static_cast<size_t>(start)] = next_index;
-    lowlink[static_cast<size_t>(start)] = next_index;
+  std::vector<Frame> frames;
+  auto visit = [&](int v) {
+    index[static_cast<size_t>(v)] = next_index;
+    lowlink[static_cast<size_t>(v)] = next_index;
     ++next_index;
-    stack.push_back(start);
-    on_stack[static_cast<size_t>(start)] = true;
+    stack.push_back(v);
+    on_stack[static_cast<size_t>(v)] = 1;
+    frames.push_back(Frame{v, graph.first_edge[static_cast<size_t>(v)]});
+  };
 
+  for (int start = 0; start < graph.num_nodes; ++start) {
+    if (index[static_cast<size_t>(start)] != -1) continue;
+    visit(start);
     while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const int v = frame.node;
-      if (frame.next_successor < frame.successors.size()) {
-        const int w = frame.successors[frame.next_successor++];
-        if (index[static_cast<size_t>(w)] == -1) {
-          index[static_cast<size_t>(w)] = next_index;
-          lowlink[static_cast<size_t>(w)] = next_index;
-          ++next_index;
-          stack.push_back(w);
-          on_stack[static_cast<size_t>(w)] = true;
-          frames.push_back(Frame{w, successors_of(w), 0});
-        } else if (on_stack[static_cast<size_t>(w)]) {
-          lowlink[static_cast<size_t>(v)] =
-              std::min(lowlink[static_cast<size_t>(v)],
-                       index[static_cast<size_t>(w)]);
+      const int v = frames.back().node;
+      const size_t vi = static_cast<size_t>(v);
+      if (frames.back().next_edge < graph.first_edge[vi + 1]) {
+        const int w =
+            graph.targets[static_cast<size_t>(frames.back().next_edge++)];
+        const size_t wi = static_cast<size_t>(w);
+        if (index[wi] == -1) {
+          visit(w);
+        } else if (on_stack[wi]) {
+          lowlink[vi] = std::min(lowlink[vi], index[wi]);
         }
-      } else {
-        if (lowlink[static_cast<size_t>(v)] ==
-            index[static_cast<size_t>(v)]) {
-          while (true) {
-            const int w = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<size_t>(w)] = false;
-            component[static_cast<size_t>(w)] = next_component;
-            if (w == v) break;
-          }
-          ++next_component;
+        continue;
+      }
+      if (lowlink[vi] == index[vi]) {
+        while (true) {
+          const int w = stack.back();
+          stack.pop_back();
+          on_stack[static_cast<size_t>(w)] = 0;
+          component[static_cast<size_t>(w)] = next_component;
+          if (w == v) break;
         }
-        frames.pop_back();
-        if (!frames.empty()) {
-          Frame& parent = frames.back();
-          lowlink[static_cast<size_t>(parent.node)] =
-              std::min(lowlink[static_cast<size_t>(parent.node)],
-                       lowlink[static_cast<size_t>(v)]);
-        }
+        ++next_component;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        const size_t parent = static_cast<size_t>(frames.back().node);
+        lowlink[parent] = std::min(lowlink[parent], lowlink[vi]);
       }
     }
   }
   return component;
-}
-
-PositionGraph BuildPositionGraph(const std::vector<Tgd>& tgds,
-                                 const SymbolTable& symbols) {
-  PositionGraph graph;
-  for (const Tgd& tgd : tgds) {
-    // Body positions of each variable.
-    std::unordered_map<TermId, std::vector<int>> body_positions;
-    for (const Atom& atom : tgd.body()) {
-      for (int pos = 0; pos < atom.arity(); ++pos) {
-        const TermId term = atom.args[static_cast<size_t>(pos)];
-        if (symbols.IsVariable(term)) {
-          body_positions[term].push_back(
-              graph.NodeFor(atom.predicate, pos));
-        }
-      }
-    }
-    // Head positions of frontier variables and of existential variables.
-    std::unordered_map<TermId, std::vector<int>> head_positions;
-    std::vector<int> existential_positions;
-    const std::unordered_set<TermId> existentials(
-        tgd.existential_variables().begin(),
-        tgd.existential_variables().end());
-    for (const Atom& atom : tgd.head()) {
-      for (int pos = 0; pos < atom.arity(); ++pos) {
-        const TermId term = atom.args[static_cast<size_t>(pos)];
-        if (!symbols.IsVariable(term)) continue;
-        const int node = graph.NodeFor(atom.predicate, pos);
-        if (existentials.count(term) > 0) {
-          existential_positions.push_back(node);
-        } else {
-          head_positions[term].push_back(node);
-        }
-      }
-    }
-    // Edges from every body position of every frontier variable.
-    for (const auto& [var, from_nodes] : body_positions) {
-      auto head_it = head_positions.find(var);
-      if (head_it == head_positions.end()) continue;  // not in head
-      for (int from : from_nodes) {
-        for (int to : head_it->second) graph.AddRegularEdge(from, to);
-        for (int to : existential_positions) graph.AddSpecialEdge(from, to);
-      }
-    }
-  }
-  return graph;
 }
 
 }  // namespace
@@ -176,14 +164,13 @@ PositionGraph BuildPositionGraph(const std::vector<Tgd>& tgds,
 bool IsWeaklyAcyclic(const std::vector<Tgd>& tgds,
                      const SymbolTable& symbols) {
   const PositionGraph graph = BuildPositionGraph(tgds, symbols);
+  if (graph.special.empty()) return true;
   const std::vector<int> component = StronglyConnectedComponents(graph);
   // A special edge inside one SCC lies on a cycle through itself.
-  for (int node = 0; node < graph.num_nodes(); ++node) {
-    for (int to : graph.special_edges(node)) {
-      if (component[static_cast<size_t>(node)] ==
-          component[static_cast<size_t>(to)]) {
-        return false;
-      }
+  for (const auto& [from, to] : graph.special) {
+    if (component[static_cast<size_t>(from)] ==
+        component[static_cast<size_t>(to)]) {
+      return false;
     }
   }
   return true;

@@ -26,6 +26,7 @@
 #define KBREPAIR_UTIL_COW_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -108,12 +109,16 @@ class CowVector {
   std::vector<T> tail_;
 };
 
-template <typename K, typename V, typename Hash = std::hash<K>>
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename KeyEqual = std::equal_to<K>>
 class CowMap {
  public:
-  using Map = std::unordered_map<K, V, Hash>;
+  using Map = std::unordered_map<K, V, Hash, KeyEqual>;
 
-  const V* Find(const K& key) const {
+  // `key` is a K, or anything Hash and KeyEqual accept when both are
+  // transparent (a std::string_view into std::string keys, say).
+  template <typename Q>
+  const V* Find(const Q& key) const {
     if (!local_.empty()) {
       auto it = local_.find(key);
       if (it != local_.end()) return &it->second;
@@ -144,6 +149,14 @@ class CowMap {
     V* present = FindMutable(key);
     if (present != nullptr) return *present;
     return local_[key];
+  }
+
+  // Adds `key`, which must be absent from base and overlay alike (the
+  // caller has just missed it with Find): one probe instead of
+  // Mutable()'s three.
+  void InsertAbsent(K key, V value) {
+    KBREPAIR_DCHECK(Find(key) == nullptr);
+    local_.emplace(std::move(key), std::move(value));
   }
 
   // Removes `key`. A base entry cannot be physically removed, so it is

@@ -1,5 +1,9 @@
 #include "repair/fix.h"
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "parser/dlgp_parser.h"
@@ -182,6 +186,56 @@ TEST_F(FixTest, PositionOrderingAndHash) {
   PositionSet set = {a, b};
   EXPECT_EQ(set.count(Position{1, 0}), 1u);
   EXPECT_EQ(set.count(c), 0u);
+}
+
+TEST(PositionKeyTest, KeepsTheNarrowPackingBelowArg256) {
+  for (const uint32_t id : {0u, 1u, 7u, 70000u, 0xffffffffu}) {
+    for (const int arg : {0, 1, 9, 255}) {
+      EXPECT_EQ(PositionKey(id, arg),
+                (static_cast<uint64_t>(id) << 8) | static_cast<uint64_t>(arg));
+    }
+  }
+}
+
+TEST(PositionKeyTest, DistinctPositionsGetDistinctKeys) {
+  std::set<uint64_t> keys;
+  size_t pairs = 0;
+  for (const uint32_t id : {0u, 1u, 2u, 255u, 256u, 65536u, 0xffffffffu}) {
+    for (const int arg : {0, 1, 255, 256, 257, 511, 512, 65536, 0x7fffffff}) {
+      keys.insert(PositionKey(id, arg));
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(keys.size(), pairs);
+  // The pair that collided under (id << 8) ^ arg.
+  EXPECT_NE(PositionKey(0, 256), PositionKey(1, 0));
+  EXPECT_NE(PositionHash()(Position{0, 256}), PositionHash()(Position{1, 0}));
+}
+
+// A fact of arity 257 followed by a unary one: fact 0's argument 256 and
+// fact 1's argument 0 once shared a position key.
+KnowledgeBase WideKb() {
+  std::string text = "w(c0";
+  for (int i = 1; i <= 256; ++i) {
+    text += ", c";
+    text += std::to_string(i);
+  }
+  text += "). v(a).";
+  StatusOr<KnowledgeBase> kb = ParseDlgp(text);
+  EXPECT_TRUE(kb.ok()) << kb.status();
+  return std::move(kb).value();
+}
+
+TEST(PositionKeyTest, WideArgumentFixSetIsValid) {
+  KnowledgeBase kb = WideKb();
+  const TermId v1 = kb.symbols().MakeFreshNull();
+  const TermId v2 = kb.symbols().MakeFreshNull();
+  const std::vector<Fix> fixes = {Fix{0, 256, v1}, Fix{1, 0, v2}};
+  EXPECT_TRUE(IsValidFixSet(fixes));
+  EXPECT_FALSE(IsValidFixSet({Fix{0, 256, v1}, Fix{0, 256, v2}}));
+  ASSERT_TRUE(ApplyFixes(kb.facts(), fixes).ok());
+  EXPECT_EQ(kb.facts().atom(0).args[256], v1);
+  EXPECT_EQ(kb.facts().atom(1).args[0], v2);
 }
 
 }  // namespace

@@ -75,6 +75,26 @@ TEST(PreferenceModelTest, LearnsPositionHabit) {
             model.Propensity(question.fixes[0], kb.facts()));
 }
 
+TEST(PreferenceModelTest, WideArgumentsKeepTheirOwnHabit) {
+  // Argument 256 of a 257-ary predicate and argument 0 of the same
+  // predicate are different positions; the user only ever picks the
+  // former.
+  std::string text = "w(c0";
+  for (int i = 1; i <= 256; ++i) {
+    text += ", c";
+    text += std::to_string(i);
+  }
+  text += ").";
+  KnowledgeBase kb = Parse(text);
+  PreferenceModel model(&kb.symbols());
+  Question question;
+  question.fixes = {Fix{0, 0, kb.symbols().MakeFreshNull()},
+                    Fix{0, 256, kb.symbols().MakeFreshNull()}};
+  for (int i = 0; i < 6; ++i) model.Observe(question, 1, kb.facts());
+  EXPECT_GT(model.Propensity(question.fixes[1], kb.facts()),
+            model.Propensity(question.fixes[0], kb.facts()));
+}
+
 TEST(PreferenceModelTest, OrderQuestionIsStableOnTies) {
   KnowledgeBase kb = Parse(kHospital);
   PreferenceModel model(&kb.symbols());
