@@ -125,26 +125,40 @@ TEST(OptiLearnTest, MatchesMcdQuestionCounts) {
   // Re-ordering cannot change which positions get asked, so for a user
   // whose choice does not depend on order (conservative: picks the
   // null, which exists once per position) the number of questions
-  // matches opti-mcd exactly.
-  SyntheticKbOptions options;
-  options.seed = 99;
-  options.num_facts = 120;
-  options.inconsistency_ratio = 0.3;
-  options.num_cdds = 6;
+  // matches opti-mcd exactly. The chain-TGD KB reaches phase two, where
+  // both strategies must rank the whole chased census.
+  SyntheticKbOptions flat;
+  flat.seed = 99;
+  flat.num_facts = 120;
+  flat.inconsistency_ratio = 0.3;
+  flat.num_cdds = 6;
+  SyntheticKbOptions chained;
+  chained.seed = 1;
+  chained.num_facts = 80;
+  chained.inconsistency_ratio = 0.25;
+  chained.num_cdds = 5;
+  chained.cdd_min_atoms = 2;
+  chained.cdd_max_atoms = 3;
+  chained.num_tgds = 6;
+  chained.conflict_depth = 2;
+  chained.routed_violation_share = 0.5;
 
-  auto run = [&](Strategy strategy) {
-    StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
-    EXPECT_TRUE(generated.ok());
-    ConservativeUser user(&generated->kb.symbols());
-    InquiryOptions inquiry_options;
-    inquiry_options.strategy = strategy;
-    inquiry_options.seed = 5;
-    InquiryEngine engine(&generated->kb, inquiry_options);
-    StatusOr<InquiryResult> result = engine.Run(user);
-    EXPECT_TRUE(result.ok()) << result.status();
-    return result->num_questions();
-  };
-  EXPECT_EQ(run(Strategy::kOptiMcd), run(Strategy::kOptiLearn));
+  for (const SyntheticKbOptions& options : {flat, chained}) {
+    auto run = [&](Strategy strategy) {
+      StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
+      EXPECT_TRUE(generated.ok());
+      ConservativeUser user(&generated->kb.symbols());
+      InquiryOptions inquiry_options;
+      inquiry_options.strategy = strategy;
+      inquiry_options.seed = 5;
+      InquiryEngine engine(&generated->kb, inquiry_options);
+      StatusOr<InquiryResult> result = engine.Run(user);
+      EXPECT_TRUE(result.ok()) << result.status();
+      return result->num_questions();
+    };
+    EXPECT_EQ(run(Strategy::kOptiMcd), run(Strategy::kOptiLearn))
+        << options.num_tgds << " TGDs";
+  }
 }
 
 TEST(OptiLearnTest, ScanningEffortDropsForStableUsers) {
