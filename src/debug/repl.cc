@@ -31,10 +31,6 @@ std::optional<uint64_t> ParseNumber(const std::string& token) {
   return static_cast<uint64_t>(value);
 }
 
-const char* EngineName(ConflictEngineKind kind) {
-  return kind == ConflictEngineKind::kScratch ? "scratch" : "incremental";
-}
-
 constexpr char kHelp[] =
     "commands:\n"
     "  info                     recording summary\n"
@@ -151,8 +147,9 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     *out_ << "\nentries: " << timeline_->num_entries() << "  questions: "
           << timeline_->num_questions() << "  position: "
           << timeline_->position() << "\nengine: "
-          << EngineName(timeline_->inquiry_options().conflict_engine)
-          << "  active: " << EngineName(timeline_->engine().active_engine())
+          << ConflictEngineName(timeline_->inquiry_options().conflict_engine)
+          << "  active: "
+          << ConflictEngineName(timeline_->engine().active_engine())
           << "\nclosed: " << (rec.closed ? "yes" : "no")
           << "  torn tail dropped: " << (rec.dropped_torn_tail ? "yes" : "no")
           << "\n";

@@ -14,13 +14,6 @@ namespace debug {
 
 namespace {
 
-StatusOr<ConflictEngineKind> EngineOverrideFromName(const std::string& name) {
-  if (name == "scratch") return ConflictEngineKind::kScratch;
-  if (name == "incremental") return ConflictEngineKind::kIncremental;
-  return Status::InvalidArgument("unknown engine override '" + name +
-                                 "' (expected 'scratch' or 'incremental')");
-}
-
 std::string EntryWhere(const RecordedStep& rec, size_t index) {
   return "WAL record " + std::to_string(rec.record_index) + " (byte offset " +
          std::to_string(rec.byte_offset) + ", entry " +
@@ -61,7 +54,7 @@ StatusOr<SessionTimeline> SessionTimeline::Create(RecordedSession recorded,
   if (!timeline.options_.engine_override.empty()) {
     KBREPAIR_ASSIGN_OR_RETURN(
         timeline.inquiry_options_.conflict_engine,
-        EngineOverrideFromName(timeline.options_.engine_override));
+        ParseConflictEngine(timeline.options_.engine_override));
   }
   std::string label;
   KBREPAIR_ASSIGN_OR_RETURN(

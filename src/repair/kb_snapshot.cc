@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "repair/repairability.h"
 #include "util/logging.h"
 
 namespace kbrepair {
@@ -82,31 +81,37 @@ uint64_t HashKnowledgeBase(const KnowledgeBase& kb) {
   return h;
 }
 
+StatusOr<InitialCensus> TakeInitialCensus(
+    const FactBase& facts, const PositionSet& pi,
+    const RepairabilityChecker& repairability, const ConflictFinder& finder) {
+  InitialCensus census;
+  KBREPAIR_ASSIGN_OR_RETURN(census.repairable,
+                            repairability.IsPiRepairable(facts, pi));
+  if (!census.repairable) return census;
+  KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> all,
+                            finder.AllConflicts(facts));
+  census.conflicts = all.size();
+  census.naive = finder.NaiveConflicts(facts);
+  return census;
+}
+
 StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
     KnowledgeBase kb, std::string label, const ChaseOptions& chase_options) {
   auto snapshot = std::make_shared<SharedKbSnapshot>();
   snapshot->label = std::move(label);
   snapshot->chase_options = chase_options;
 
-  // Replicate InquiryEngine::Begin(Π=∅) on the base *before* freezing,
-  // so the frozen symbol table holds exactly the terms (scratch nulls,
+  // Begin(Π=∅)'s census, taken on the base *before* freezing, so the
+  // frozen symbol table holds exactly the terms (scratch nulls,
   // chase-minted nulls) a cold session's Begin would have interned.
   {
     RepairabilityChecker repairability(&kb.symbols(), &kb.tgds(), &kb.cdds(),
                                        chase_options);
-    const PositionSet empty_pi;
+    ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds(),
+                          chase_options);
     KBREPAIR_ASSIGN_OR_RETURN(
-        snapshot->repairable,
-        repairability.IsPiRepairable(kb.facts(), empty_pi));
-    if (snapshot->repairable) {
-      ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds(),
-                            chase_options);
-      KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> initial,
-                                finder.AllConflicts(kb.facts()));
-      snapshot->initial_conflicts = initial.size();
-      snapshot->naive_census = finder.NaiveConflicts(kb.facts());
-      snapshot->initial_naive_conflicts = snapshot->naive_census.size();
-    }
+        snapshot->census,
+        TakeInitialCensus(kb.facts(), PositionSet{}, repairability, finder));
   }
 
   kb.FreezeShared();
@@ -114,7 +119,7 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
   snapshot->approx_bytes = ApproxKbBytes(kb);
   snapshot->kb = std::move(kb);
 
-  if (!snapshot->repairable) {
+  if (!snapshot->census.repairable) {
     return std::shared_ptr<const SharedKbSnapshot>(snapshot);
   }
 

@@ -67,9 +67,9 @@ JsonValue BaseInfoJson(const std::string& name, const SharedKbSnapshot& snap,
   out.Set("facts",
           JsonValue::Number(static_cast<int64_t>(snap.kb.facts().size())));
   out.Set("bytes", JsonValue::Number(static_cast<int64_t>(snap.approx_bytes)));
-  out.Set("repairable", JsonValue::Bool(snap.repairable));
+  out.Set("repairable", JsonValue::Bool(snap.census.repairable));
   out.Set("initial_conflicts",
-          JsonValue::Number(static_cast<int64_t>(snap.initial_conflicts)));
+          JsonValue::Number(static_cast<int64_t>(snap.census.conflicts)));
   // Whether forks adopt the saturated engine prototypes or cold-start
   // their engines (the snapshot's mint guard fired).
   out.Set("engine_protos", JsonValue::Bool(snap.delta_proto != nullptr));

@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "repair/inquiry.h"
 #include "service/daemon_client.h"
 #include "util/json.h"
 #include "util/net.h"
@@ -147,8 +148,8 @@ struct ClientOptions {
   size_t sessions = 8;
   size_t workers = 4;
   std::string kb = "synthetic";
-  std::string strategy = "random";
-  std::string engine = "scratch";
+  std::string strategy = StrategyName(Strategy::kRandom);
+  std::string engine = ConflictEngineName(ConflictEngineKind::kScratch);
   // When non-empty: register one shared base KB under this name (built
   // from --kb/--seed) before driving, fork every session from it with
   // `create {"base": NAME}`, and after the drive check the base ledger

@@ -11,22 +11,6 @@ namespace kbrepair {
 
 namespace {
 
-StatusOr<Strategy> StrategyFromName(const std::string& name) {
-  if (name == "random") return Strategy::kRandom;
-  if (name == "opti-join") return Strategy::kOptiJoin;
-  if (name == "opti-prop") return Strategy::kOptiProp;
-  if (name == "opti-mcd") return Strategy::kOptiMcd;
-  if (name == "opti-learn") return Strategy::kOptiLearn;
-  return Status::InvalidArgument("unknown strategy '" + name + "'");
-}
-
-StatusOr<ConflictEngineKind> ConflictEngineFromName(const std::string& name) {
-  if (name == "scratch") return ConflictEngineKind::kScratch;
-  if (name == "incremental") return ConflictEngineKind::kIncremental;
-  return Status::InvalidArgument("unknown engine '" + name +
-                                 "' (expected 'scratch' or 'incremental')");
-}
-
 JsonValue FactsToJson(const FactBase& facts, const SymbolTable& symbols) {
   JsonValue out = JsonValue::Array();
   for (AtomId id = 0; id < facts.size(); ++id) {
@@ -199,7 +183,7 @@ StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
   InquiryOptions options;
   if (params.Get("strategy").is_string()) {
     KBREPAIR_ASSIGN_OR_RETURN(
-        options.strategy, StrategyFromName(params.Get("strategy").AsString()));
+        options.strategy, ParseStrategy(params.Get("strategy").AsString()));
   }
   if (params.Get("seed").is_number()) {
     options.seed = static_cast<uint64_t>(params.Get("seed").AsInt());
@@ -214,7 +198,7 @@ StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
   if (params.Get("engine").is_string()) {
     KBREPAIR_ASSIGN_OR_RETURN(
         options.conflict_engine,
-        ConflictEngineFromName(params.Get("engine").AsString()));
+        ParseConflictEngine(params.Get("engine").AsString()));
   }
   if (params.Get("record_convergence").is_string()) {
     const std::string mode = params.Get("record_convergence").AsString();

@@ -305,7 +305,7 @@ TEST(SnapshotPrototypes, ArmedForTgdFreeAndFullTgdBases) {
   for (const bool with_tgds : {false, true}) {
     const std::shared_ptr<const SharedKbSnapshot>& snapshot =
         CachedSnapshot(4, with_tgds);
-    ASSERT_TRUE(snapshot->repairable) << "with_tgds=" << with_tgds;
+    ASSERT_TRUE(snapshot->census.repairable) << "with_tgds=" << with_tgds;
     const SharedBeginSeed seed = snapshot->Seed();
     EXPECT_NE(seed.delta_proto, nullptr) << "with_tgds=" << with_tgds;
     EXPECT_NE(seed.skeleton_proto, nullptr) << "with_tgds=" << with_tgds;

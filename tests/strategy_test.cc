@@ -1,4 +1,4 @@
-// Behavioural tests for the four questioning strategies (Section 5).
+// Behavioural tests for the questioning strategies (Section 5).
 
 #include <gtest/gtest.h>
 
@@ -52,6 +52,30 @@ SyntheticKbOptions OverlappyCddOnlyKb() {
   options.min_multiplicity = 2;
   options.max_multiplicity = 3;
   return options;
+}
+
+TEST(StrategyTest, NamesParseBackAndUnknownNamesAreRejected) {
+  for (const Strategy strategy :
+       {Strategy::kRandom, Strategy::kOptiJoin, Strategy::kOptiProp,
+        Strategy::kOptiMcd, Strategy::kOptiLearn}) {
+    StatusOr<Strategy> parsed = ParseStrategy(StrategyName(strategy));
+    ASSERT_TRUE(parsed.ok()) << StrategyName(strategy);
+    EXPECT_EQ(*parsed, strategy);
+  }
+  for (const ConflictEngineKind engine :
+       {ConflictEngineKind::kScratch, ConflictEngineKind::kIncremental}) {
+    StatusOr<ConflictEngineKind> parsed =
+        ParseConflictEngine(ConflictEngineName(engine));
+    ASSERT_TRUE(parsed.ok()) << ConflictEngineName(engine);
+    EXPECT_EQ(*parsed, engine);
+  }
+  // The service sends these messages over the wire.
+  EXPECT_EQ(ParseStrategy("opti").status().ToString(),
+            "InvalidArgument: unknown strategy 'opti'");
+  EXPECT_EQ(ParseConflictEngine("delta").status().ToString(),
+            "InvalidArgument: unknown engine 'delta' (expected 'scratch' or "
+            "'incremental')");
+  EXPECT_STREQ(StrategyName(static_cast<Strategy>(99)), "unknown");
 }
 
 TEST(StrategyTest, OptiMcdAsksFewerQuestionsThanRandom) {
