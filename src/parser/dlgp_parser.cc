@@ -452,11 +452,11 @@ class Parser {
               Atom atom, ResolveAtom(pending, /*rule_context=*/true));
           body.push_back(std::move(atom));
         }
-        KBREPAIR_ASSIGN_OR_RETURN(
-            Cdd cdd,
-            Cdd::Create(std::move(body), symbols_, std::move(equalities)));
-        cdd.set_label(std::string(label_));
-        kb_.cdds().push_back(std::move(cdd));
+        StatusOr<Cdd> cdd =
+            Cdd::Create(std::move(body), symbols_, std::move(equalities));
+        if (!cdd.ok()) return ErrorOnLine(line_, cdd.status().message());
+        cdd->set_label(std::string(label_));
+        kb_.cdds().push_back(std::move(cdd).value());
         return Status::Ok();
       }
     }
